@@ -61,6 +61,10 @@ class BindingDivisionByZero(HomLieError):
 # ---------------------------------------------------------------------------
 
 _OPS = set("+-*/()")
+# Parentheses and unary minus nest the parser's recursion; beyond this
+# depth an expression is rejected instead of exhausting the stack.
+MAX_NESTING = 100
+_BINARY = ("add", "sub", "mul", "div")
 
 
 def _tokenize(text: str):
@@ -97,6 +101,7 @@ class _ExprParser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -137,23 +142,29 @@ class _ExprParser:
 
     def factor(self):
         tok = self.peek()
-        if tok[0] == "-":
-            self.advance()
-            return ("neg", self.factor())
         if tok[0] == "num":
             self.advance()
             return ("num", Fraction(tok[2]))
         if tok[0] == "ident":
             self.advance()
             return ("param", tok[2])
-        if tok[0] == "(":
-            self.advance()
+        if tok[0] not in ("-", "("):
+            raise AlgSyntaxError("expected a value", self.text, tok[1])
+        self.advance()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise AlgSyntaxError(
+                f"expression nested deeper than {MAX_NESTING}", self.text, tok[1]
+            )
+        if tok[0] == "-":
+            node = ("neg", self.factor())
+        else:
             node = self.expr()
             closing = self.advance()
             if closing[0] != ")":
                 raise AlgSyntaxError("expected ')'", self.text, closing[1])
-            return node
-        raise AlgSyntaxError("expected a value", self.text, tok[1])
+        self.depth -= 1
+        return node
 
 
 @dataclass(frozen=True)
@@ -195,19 +206,29 @@ class ParamExpr:
             return bindings[node[1]]
         if kind == "neg":
             return -self._eval(node[1], bindings)
-        left = self._eval(node[1], bindings)
-        right = self._eval(node[2], bindings)
-        if kind == "add":
-            return left + right
-        if kind == "sub":
-            return left - right
-        if kind == "mul":
-            return left * right
-        if right == 0:
-            raise BindingDivisionByZero(
-                f"division by zero while binding {self.source!r}"
-            )
-        return left / right
+        # A chain such as 1+1+...+1 is a left-deep tree as deep as it has
+        # terms.  Its left spine is walked in a loop, so recursion follows
+        # only parentheses and unary minus, whose depth the parser caps.
+        spine = []
+        while node[0] in _BINARY:
+            spine.append(node)
+            node = node[1]
+        value = self._eval(node, bindings)
+        for kind, _, right in reversed(spine):
+            right = self._eval(right, bindings)
+            if kind == "add":
+                value = value + right
+            elif kind == "sub":
+                value = value - right
+            elif kind == "mul":
+                value = value * right
+            elif right == 0:
+                raise BindingDivisionByZero(
+                    f"division by zero while binding {self.source!r}"
+                )
+            else:
+                value = value / right
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +289,7 @@ def _parse_entries(raw, n, label, antisymmetric) -> tuple:
                 f"{label} entries need keys i, j, coeffs: {item!r}"
             )
         i, j = item["i"], item["j"]
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (type(i) is int and type(j) is int):
             raise InstanceFormatError(f"{label} indices must be integers")
         if not (1 <= i <= n and 1 <= j <= n):
             raise InstanceFormatError(f"{label} entry ({i}, {j}) out of range 1..{n}")
@@ -298,7 +319,7 @@ def parse_instance(text: str) -> InstanceFile:
         ) from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")
-    if "dimension" not in doc or not isinstance(doc["dimension"], int):
+    if "dimension" not in doc or type(doc["dimension"]) is not int:
         raise InstanceFormatError("instance needs an integer dimension")
     n = doc["dimension"]
     if n < 1:

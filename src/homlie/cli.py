@@ -521,6 +521,20 @@ def _load_and_bind(args):
     return bound, Report(name, bound.bindings)
 
 
+def _check_writable(path):
+    """Fail before any check runs when the --json report cannot be written."""
+    if path is None:
+        return
+    existed = os.path.exists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def _emit(report: Report, args) -> int:
     print(_render_text(report))
     if getattr(args, "json", None):
@@ -579,6 +593,7 @@ def main(argv=None) -> int:
         "classify2": cmd_classify2,
     }
     try:
+        _check_writable(args.json)
         return handlers[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
+from . import _kernel
 from .errors import (
     InvalidStructureError,
     NonInvolutiveTwistError,
@@ -30,7 +32,6 @@ from .linalg import (
     conj_vec,
     independent_subset,
     to_gaussian_vec,
-    vec_sub,
 )
 from .metric import MetricForm, SymplecticForm, check_pseudo_riemannian
 from .structures import Violation, check_subalgebra
@@ -107,19 +108,11 @@ def _require_almost_complex(c: Tensor3, phi: Matrix, j: Matrix):
 def nijenhuis_tensor(c: Tensor3, phi: Matrix, j: Matrix) -> NijenhuisTensor:
     """N(e_i, e_j) for all basis pairs, packed as a rank-3 tensor."""
     _require_almost_complex(c, phi, j)
-    g = phi @ j
     n = c.dim
-    planes = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    gcols = [g.column(i) for i in range(n)]
-    for a in range(n):
-        for b in range(n):
-            ea, eb = basis_vec(n, a), basis_vec(n, b)
-            val = c.apply(gcols[a], gcols[b])
-            val = vec_sub(val, g.apply(c.apply(gcols[a], eb)))
-            val = vec_sub(val, g.apply(c.apply(ea, gcols[b])))
-            val = vec_sub(val, c.basis_product(a, b))
-            for k in range(n):
-                planes[k][a][b] = val[k]
+    planes = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for a, b, val in _kernel.nijenhuis(c, phi @ j, product(range(n), repeat=2)):
+        for k in range(n):
+            planes[k][a][b] = val[k]
     return NijenhuisTensor(Tensor3(planes))
 
 

@@ -205,10 +205,11 @@ class Matrix:
     """Immutable dense matrix; entries Fraction or GaussianRational.
 
     Column convention throughout: the matrix of a linear map sends the
-    j-th basis vector to the j-th column.
+    j-th basis vector to the j-th column.  ``_lowered`` is filled on first
+    use by the basis-tuple checkers with an integer form of the entries.
     """
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("rows", "nrows", "ncols", "_lowered")
 
     def __init__(self, rows):
         rows = tuple(
@@ -556,9 +557,11 @@ class Tensor3:
     c[k][i][j] is the e_k coefficient of (e_i, e_j) under the map, with
     0-based indices internally; the ``from_table`` constructor and
     ``nonzero_table`` accessor speak 1-based, matching instance files.
+    ``_lowered`` is filled on first use by the basis-tuple checkers with a
+    sparse integer table of the entries.
     """
 
-    __slots__ = ("entries", "dim")
+    __slots__ = ("entries", "dim", "_lowered")
 
     def __init__(self, entries):
         entries = tuple(
@@ -637,11 +640,6 @@ class Tensor3:
         """Matrix of left multiplication by e_i (0-based)."""
         n = self.dim
         return Matrix.from_columns([self.basis_product(i, j) for j in range(n)])
-
-    def right_mult(self, u: Sequence) -> Matrix:
-        n = self.dim
-        cols = [self.apply(basis_vec(n, j), u) for j in range(n)]
-        return Matrix.from_columns(cols)
 
     def is_antisymmetric(self) -> bool:
         n = self.dim

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
+from . import _kernel
 from .errors import (
     DegenerateFormError,
+    DimensionMismatchError,
     InvalidStructureError,
     NonInvolutiveTwistError,
     SingularTwistError,
@@ -241,26 +242,22 @@ def check_symplectic(omega: SymplecticForm, c: Tensor3, phi: Matrix):
         raise InvalidStructureError("bracket is not antisymmetric", anti)
     if determinant(phi) == 0:
         raise SingularTwistError("symplectic structures require a regular twist")
-    n = c.dim
-    inv = phi.transpose() @ omega.omega @ phi
-    for i in range(n):
-        for j in range(i + 1, n):
-            if inv[i, j] != omega.omega[i, j]:
-                return Violation(
-                    "symplectic-invariance",
-                    (i + 1, j + 1),
-                    (inv[i, j],),
-                    (omega.omega[i, j],),
-                )
-    for i, j, k in combinations(range(n), 3):
-        total = omega.value(c.basis_product(i, j), phi.column(k))
-        total += omega.value(c.basis_product(k, i), phi.column(j))
-        total += omega.value(c.basis_product(j, k), phi.column(i))
-        if total != 0:
-            return Violation(
-                "symplectic-cocycle", (i + 1, j + 1, k + 1), (total,), (Fraction(0),)
-            )
-    return True
+    if omega.dim != c.dim or phi.nrows != c.dim:
+        raise DimensionMismatchError("form, bracket and twist dimensions differ")
+    bad = _kernel.first_symplectic_failure(omega.omega, c, phi)
+    if bad is None:
+        return True
+    if bad[0] == "invariance":
+        i, j = bad[1]
+        inv = phi.transpose() @ omega.omega @ phi
+        return Violation(
+            "symplectic-invariance", (i + 1, j + 1), (inv[i, j],), (omega.omega[i, j],)
+        )
+    i, j, k = bad[1]
+    total = omega.value(c.basis_product(i, j), phi.column(k))
+    total += omega.value(c.basis_product(k, i), phi.column(j))
+    total += omega.value(c.basis_product(j, k), phi.column(i))
+    return Violation("symplectic-cocycle", (i + 1, j + 1, k + 1), (total,), (Fraction(0),))
 
 
 def symplectic_left_symmetric(omega: SymplecticForm, c: Tensor3, phi: Matrix) -> Tensor3:
@@ -281,22 +278,8 @@ def symplectic_left_symmetric(omega: SymplecticForm, c: Tensor3, phi: Matrix) ->
             "form is not a symplectic two-cocycle for this bracket", cocycle
         )
     # row k of the coefficient matrix: x -> omega(x, phi e_k)
-    rows = []
-    for k in range(n):
-        pk = phi.column(k)
-        rows.append([omega.value(basis_vec(n, m), pk) for m in range(n)])
-    coeff_inv = matrix_inverse(Matrix(rows))
-    planes = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            pj = phi.column(j)
-            rhs = tuple(
-                -omega.value(pj, c.basis_product(i, k)) for k in range(n)
-            )
-            x = coeff_inv.apply(rhs)
-            for k in range(n):
-                planes[k][i][j] = x[k]
-    return Tensor3(planes)
+    coeff_inv = matrix_inverse((omega.omega @ phi).transpose())
+    return Tensor3(_kernel.symplectic_product_planes(omega.omega, c, phi, coeff_inv))
 
 
 def musical_flat(g: MetricForm, u) -> tuple:

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
+from . import _kernel
 from .errors import (
     InvalidStructureError,
     NonInvolutiveTwistError,
@@ -30,10 +32,7 @@ from .errors import (
 from .linalg import (
     Matrix,
     Tensor3,
-    basis_vec,
-    is_zero_vec,
     matrix_inverse,
-    vec_sub,
 )
 from .metric import MetricForm, SymplecticForm, check_phi_selfadjoint
 from .structures import (
@@ -95,25 +94,22 @@ class DualRepresentation:
 
 def check_representation(rep: Representation):
     """Both defining identities over all basis pairs of the base."""
-    n = rep.base_dim
+    bad = _kernel.first_representation_failure(rep)
+    if bad is None:
+        return True
     a = rep.a_map
-    for i in range(n):
+    if bad[0] == "twist":
+        (i,) = bad[1]
         lhs = rep.rho_of(rep.twist.column(i)) @ a
         rhs = a @ rep.rho[i]
-        if lhs != rhs:
-            return Violation("representation-twist", (i + 1,), lhs.rows, rhs.rows)
-    for i in range(n):
-        for j in range(n):
-            lhs = rep.rho_of(rep.bracket.basis_product(i, j)) @ a
-            rhs = (
-                rep.rho_of(rep.twist.column(i)) @ rep.rho[j]
-                - rep.rho_of(rep.twist.column(j)) @ rep.rho[i]
-            )
-            if lhs != rhs:
-                return Violation(
-                    "representation-bracket", (i + 1, j + 1), lhs.rows, rhs.rows
-                )
-    return True
+        return Violation("representation-twist", (i + 1,), lhs.rows, rhs.rows)
+    i, j = bad[1]
+    lhs = rep.rho_of(rep.bracket.basis_product(i, j)) @ a
+    rhs = (
+        rep.rho_of(rep.twist.column(i)) @ rep.rho[j]
+        - rep.rho_of(rep.twist.column(j)) @ rep.rho[i]
+    )
+    return Violation("representation-bracket", (i + 1, j + 1), lhs.rows, rhs.rows)
 
 
 def check_admissible(rep: Representation):
@@ -121,25 +117,22 @@ def check_admissible(rep: Representation):
     base = check_representation(rep)
     if not base:
         raise InvalidStructureError("not a representation", base)
-    n = rep.base_dim
+    bad = _kernel.first_representation_failure(rep, dual=True)
+    if bad is None:
+        return True
     a = rep.a_map
-    for i in range(n):
+    if bad[0] == "twist":
+        (i,) = bad[1]
         lhs = a @ rep.rho_of(rep.twist.column(i))
         rhs = rep.rho[i] @ a
-        if lhs != rhs:
-            return Violation("admissible-twist", (i + 1,), lhs.rows, rhs.rows)
-    for i in range(n):
-        for j in range(n):
-            lhs = a @ rep.rho_of(rep.bracket.basis_product(i, j))
-            rhs = (
-                rep.rho[i] @ rep.rho_of(rep.twist.column(j))
-                - rep.rho[j] @ rep.rho_of(rep.twist.column(i))
-            )
-            if lhs != rhs:
-                return Violation(
-                    "admissible-bracket", (i + 1, j + 1), lhs.rows, rhs.rows
-                )
-    return True
+        return Violation("admissible-twist", (i + 1,), lhs.rows, rhs.rows)
+    i, j = bad[1]
+    lhs = a @ rep.rho_of(rep.bracket.basis_product(i, j))
+    rhs = (
+        rep.rho[i] @ rep.rho_of(rep.twist.column(j))
+        - rep.rho[j] @ rep.rho_of(rep.twist.column(i))
+    )
+    return Violation("admissible-bracket", (i + 1, j + 1), lhs.rows, rhs.rows)
 
 
 def adjoint_rep(g: HomLieAlgebra) -> Representation:
@@ -249,17 +242,16 @@ def phase_space_product(p: Tensor3, phi: Matrix) -> Tensor3:
     """
     n = p.dim
     n2 = 2 * n
-    planes = [[[Fraction(0)] * n2 for _ in range(n2)] for _ in range(n2)]
-    for i in range(n):
-        for j in range(n):
-            col = p.basis_product(i, j)
-            for k in range(n):
-                planes[k][i][j] = col[k]
-        lt = -(p.left_mult(phi.column(i)).transpose())
-        for m in range(n):
-            col = lt.column(m)
-            for k in range(n):
-                planes[n + k][i][n + m] = col[k]
+    planes = [[[0] * n2 for _ in range(n2)] for _ in range(n2)]
+    for k in range(n):
+        for i in range(n):
+            planes[k][i][:n] = p.entries[k][i]
+    # the e_m coefficient of phi(e_i).e_k is entry (k, m) of L_{phi e_i}^T
+    lefts, den = _kernel.left_products(p, phi)
+    for i, left in enumerate(lefts):
+        for k, col in left.items():
+            for m, v in col.items():
+                planes[n + k][i][n + m] = Fraction(-v, den)
     return Tensor3(planes)
 
 
@@ -346,18 +338,7 @@ def check_phase_space_complex(ps: PhaseSpaceInstance):
     doubles whose product is not left-symmetric.
     """
     c = commutator_bracket(ps.product)
-    g = ps.twist @ ps.j_cal
-    n2 = ps.dim
-    gcols = [g.column(i) for i in range(n2)]
-    for a in range(n2):
-        for b in range(a + 1, n2):
-            ea, eb = basis_vec(n2, a), basis_vec(n2, b)
-            val = c.apply(gcols[a], gcols[b])
-            val = vec_sub(val, g.apply(c.apply(gcols[a], eb)))
-            val = vec_sub(val, g.apply(c.apply(ea, gcols[b])))
-            val = vec_sub(val, c.basis_product(a, b))
-            if not is_zero_vec(val):
-                return Violation(
-                    "phase-space-nijenhuis", (a + 1, b + 1), tuple(val)
-                )
+    pairs = combinations(range(ps.dim), 2)
+    for a, b, val in _kernel.nijenhuis(c, ps.twist @ ps.j_cal, pairs):
+        return Violation("phase-space-nijenhuis", (a + 1, b + 1), val)
     return True

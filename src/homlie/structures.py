@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from . import _kernel
 from .errors import DimensionMismatchError, InvalidStructureError
 from .linalg import (
     Matrix,
@@ -24,7 +25,6 @@ from .linalg import (
     basis_vec,
     determinant,
     in_span,
-    is_zero_vec,
     row_space_rank,
     vec_add,
     vec_sub,
@@ -66,14 +66,13 @@ def _require_dims(t: Tensor3, phi: Matrix):
 
 def check_antisymmetry(c: Tensor3):
     """Entrywise c[k][i][j] = -c[k][j][i]."""
-    n = c.dim
-    for i in range(n):
-        for j in range(i, n):
-            lhs = c.basis_product(i, j)
-            rhs = tuple(-x for x in c.basis_product(j, i))
-            if lhs != rhs:
-                return Violation("antisymmetry", (i + 1, j + 1), lhs, rhs)
-    return True
+    bad = _kernel.first_asymmetric(c)
+    if bad is None:
+        return True
+    i, j = bad
+    lhs = c.basis_product(i, j)
+    rhs = tuple(-x for x in c.basis_product(j, i))
+    return Violation("antisymmetry", (i + 1, j + 1), lhs, rhs)
 
 
 def commutator_bracket(p: Tensor3) -> Tensor3:
@@ -93,15 +92,13 @@ def commutator_bracket(p: Tensor3) -> Tensor3:
 def check_morphism(t: Tensor3, phi: Matrix):
     """phi(t(e_i, e_j)) = t(phi e_i, phi e_j) on all basis pairs."""
     _require_dims(t, phi)
-    n = t.dim
-    phi_cols = [phi.column(j) for j in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = phi.apply(t.basis_product(i, j))
-            rhs = t.apply(phi_cols[i], phi_cols[j])
-            if lhs != rhs:
-                return Violation("morphism", (i + 1, j + 1), lhs, rhs)
-    return True
+    bad = _kernel.first_non_morphism(t, phi)
+    if bad is None:
+        return True
+    i, j = bad
+    lhs = phi.apply(t.basis_product(i, j))
+    rhs = t.apply(phi.column(i), phi.column(j))
+    return Violation("morphism", (i + 1, j + 1), lhs, rhs)
 
 
 def hom_jacobi_defect(c: Tensor3, phi: Matrix, i: int, j: int, k: int) -> tuple:
@@ -123,12 +120,13 @@ def check_hom_jacobi(c: Tensor3, phi: Matrix):
     anti = check_antisymmetry(c)
     if not anti:
         raise InvalidStructureError("bracket is not antisymmetric", anti)
-    n = c.dim
-    for i, j, k in combinations(range(1, n + 1), 3):
-        defect = hom_jacobi_defect(c, phi, i, j, k)
-        if not is_zero_vec(defect):
-            return Violation("hom-jacobi", (i, j, k), defect, zero_vec(n))
-    return True
+    bad = _kernel.first_hom_jacobi_defect(c, phi)
+    if bad is None:
+        return True
+    i, j, k = (x + 1 for x in bad)
+    return Violation(
+        "hom-jacobi", (i, j, k), hom_jacobi_defect(c, phi, i, j, k), zero_vec(c.dim)
+    )
 
 
 def twisted_associator(p: Tensor3, phi: Matrix, u, v, w) -> tuple:
@@ -142,18 +140,15 @@ def twisted_associator(p: Tensor3, phi: Matrix, u, v, w) -> tuple:
 def check_hom_left_symmetric(p: Tensor3, phi: Matrix):
     """The twisted associator is symmetric in its first two arguments."""
     _require_dims(p, phi)
+    bad = _kernel.first_not_left_symmetric(p, phi)
+    if bad is None:
+        return True
+    i, j, k = bad
     n = p.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                ei, ej, ek = basis_vec(n, i), basis_vec(n, j), basis_vec(n, k)
-                lhs = twisted_associator(p, phi, ei, ej, ek)
-                rhs = twisted_associator(p, phi, ej, ei, ek)
-                if lhs != rhs:
-                    return Violation(
-                        "hom-left-symmetric", (i + 1, j + 1, k + 1), lhs, rhs
-                    )
-    return True
+    ei, ej, ek = basis_vec(n, i), basis_vec(n, j), basis_vec(n, k)
+    lhs = twisted_associator(p, phi, ei, ej, ek)
+    rhs = twisted_associator(p, phi, ej, ei, ek)
+    return Violation("hom-left-symmetric", (i + 1, j + 1, k + 1), lhs, rhs)
 
 
 def tensor_curvature(p: Tensor3, phi: Matrix, u, v, w) -> tuple:
@@ -243,9 +238,6 @@ class HomAlgebra:
 
     def left_mult(self, u) -> Matrix:
         return self.product.left_mult(u)
-
-    def right_mult(self, u) -> Matrix:
-        return self.product.right_mult(u)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,258 @@
+"""Dense reference implementations of the kernel-backed checkers.
+
+These are the loop bodies the library used before its checkers moved
+onto the sparse integer kernel: every basis tuple in lexicographic
+order, both sides evaluated with dense ``Fraction`` arithmetic.  They
+are kept verbatim as the oracle of the differential tests, which
+require equal verdicts and equal ``Violation`` contents (kind, witness,
+lhs, rhs).  Nothing in ``src`` imports this module.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+
+from homlie.complexstruct import NijenhuisTensor, _require_almost_complex
+from homlie.errors import InvalidStructureError, NonInvolutiveTwistError, SingularTwistError
+from homlie.linalg import (
+    Matrix,
+    Tensor3,
+    basis_vec,
+    determinant,
+    is_zero_vec,
+    matrix_inverse,
+    vec_sub,
+    zero_vec,
+)
+from homlie.metric import SymplecticForm
+from homlie.structures import (
+    Violation,
+    _require_dims,
+    commutator_bracket,
+    hom_jacobi_defect,
+    twisted_associator,
+)
+
+
+def check_antisymmetry(c: Tensor3):
+    """Entrywise c[k][i][j] = -c[k][j][i]."""
+    n = c.dim
+    for i in range(n):
+        for j in range(i, n):
+            lhs = c.basis_product(i, j)
+            rhs = tuple(-x for x in c.basis_product(j, i))
+            if lhs != rhs:
+                return Violation("antisymmetry", (i + 1, j + 1), lhs, rhs)
+    return True
+
+
+def check_morphism(t: Tensor3, phi: Matrix):
+    """phi(t(e_i, e_j)) = t(phi e_i, phi e_j) on all basis pairs."""
+    _require_dims(t, phi)
+    n = t.dim
+    phi_cols = [phi.column(j) for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            lhs = phi.apply(t.basis_product(i, j))
+            rhs = t.apply(phi_cols[i], phi_cols[j])
+            if lhs != rhs:
+                return Violation("morphism", (i + 1, j + 1), lhs, rhs)
+    return True
+
+
+def check_hom_jacobi(c: Tensor3, phi: Matrix):
+    """Twisted Jacobi identity over all basis triples i < j < k."""
+    _require_dims(c, phi)
+    anti = check_antisymmetry(c)
+    if not anti:
+        raise InvalidStructureError("bracket is not antisymmetric", anti)
+    n = c.dim
+    for i, j, k in combinations(range(1, n + 1), 3):
+        defect = hom_jacobi_defect(c, phi, i, j, k)
+        if not is_zero_vec(defect):
+            return Violation("hom-jacobi", (i, j, k), defect, zero_vec(n))
+    return True
+
+
+def check_hom_left_symmetric(p: Tensor3, phi: Matrix):
+    """The twisted associator is symmetric in its first two arguments."""
+    _require_dims(p, phi)
+    n = p.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                ei, ej, ek = basis_vec(n, i), basis_vec(n, j), basis_vec(n, k)
+                lhs = twisted_associator(p, phi, ei, ej, ek)
+                rhs = twisted_associator(p, phi, ej, ei, ek)
+                if lhs != rhs:
+                    return Violation(
+                        "hom-left-symmetric", (i + 1, j + 1, k + 1), lhs, rhs
+                    )
+    return True
+
+
+def check_symplectic(omega: SymplecticForm, c: Tensor3, phi: Matrix):
+    """Two-cocycle condition plus twist invariance."""
+    anti = check_antisymmetry(c)
+    if not anti:
+        raise InvalidStructureError("bracket is not antisymmetric", anti)
+    if determinant(phi) == 0:
+        raise SingularTwistError("symplectic structures require a regular twist")
+    n = c.dim
+    inv = phi.transpose() @ omega.omega @ phi
+    for i in range(n):
+        for j in range(i + 1, n):
+            if inv[i, j] != omega.omega[i, j]:
+                return Violation(
+                    "symplectic-invariance",
+                    (i + 1, j + 1),
+                    (inv[i, j],),
+                    (omega.omega[i, j],),
+                )
+    for i, j, k in combinations(range(n), 3):
+        total = omega.value(c.basis_product(i, j), phi.column(k))
+        total += omega.value(c.basis_product(k, i), phi.column(j))
+        total += omega.value(c.basis_product(j, k), phi.column(i))
+        if total != 0:
+            return Violation(
+                "symplectic-cocycle", (i + 1, j + 1, k + 1), (total,), (Fraction(0),)
+            )
+    return True
+
+
+def symplectic_left_symmetric(omega: SymplecticForm, c: Tensor3, phi: Matrix) -> Tensor3:
+    """Left-symmetric product induced by a symplectic two-cocycle."""
+    n = c.dim
+    if phi @ phi != Matrix.identity(n):
+        raise NonInvolutiveTwistError(
+            "the symplectic left-symmetric product needs phi^2 = Id"
+        )
+    cocycle = check_symplectic(omega, c, phi)
+    if not cocycle:
+        raise InvalidStructureError(
+            "form is not a symplectic two-cocycle for this bracket", cocycle
+        )
+    # row k of the coefficient matrix: x -> omega(x, phi e_k)
+    rows = []
+    for k in range(n):
+        pk = phi.column(k)
+        rows.append([omega.value(basis_vec(n, m), pk) for m in range(n)])
+    coeff_inv = matrix_inverse(Matrix(rows))
+    planes = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            pj = phi.column(j)
+            rhs = tuple(
+                -omega.value(pj, c.basis_product(i, k)) for k in range(n)
+            )
+            x = coeff_inv.apply(rhs)
+            for k in range(n):
+                planes[k][i][j] = x[k]
+    return Tensor3(planes)
+
+
+def check_representation(rep):
+    """Both defining identities over all basis pairs of the base."""
+    n = rep.base_dim
+    a = rep.a_map
+    for i in range(n):
+        lhs = rep.rho_of(rep.twist.column(i)) @ a
+        rhs = a @ rep.rho[i]
+        if lhs != rhs:
+            return Violation("representation-twist", (i + 1,), lhs.rows, rhs.rows)
+    for i in range(n):
+        for j in range(n):
+            lhs = rep.rho_of(rep.bracket.basis_product(i, j)) @ a
+            rhs = (
+                rep.rho_of(rep.twist.column(i)) @ rep.rho[j]
+                - rep.rho_of(rep.twist.column(j)) @ rep.rho[i]
+            )
+            if lhs != rhs:
+                return Violation(
+                    "representation-bracket", (i + 1, j + 1), lhs.rows, rhs.rows
+                )
+    return True
+
+
+def check_admissible(rep):
+    """The two extra identities making the dual family a representation."""
+    base = check_representation(rep)
+    if not base:
+        raise InvalidStructureError("not a representation", base)
+    n = rep.base_dim
+    a = rep.a_map
+    for i in range(n):
+        lhs = a @ rep.rho_of(rep.twist.column(i))
+        rhs = rep.rho[i] @ a
+        if lhs != rhs:
+            return Violation("admissible-twist", (i + 1,), lhs.rows, rhs.rows)
+    for i in range(n):
+        for j in range(n):
+            lhs = a @ rep.rho_of(rep.bracket.basis_product(i, j))
+            rhs = (
+                rep.rho[i] @ rep.rho_of(rep.twist.column(j))
+                - rep.rho[j] @ rep.rho_of(rep.twist.column(i))
+            )
+            if lhs != rhs:
+                return Violation(
+                    "admissible-bracket", (i + 1, j + 1), lhs.rows, rhs.rows
+                )
+    return True
+
+
+def nijenhuis_tensor(c: Tensor3, phi: Matrix, j: Matrix) -> NijenhuisTensor:
+    """N(e_i, e_j) for all basis pairs, packed as a rank-3 tensor."""
+    _require_almost_complex(c, phi, j)
+    g = phi @ j
+    n = c.dim
+    planes = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    gcols = [g.column(i) for i in range(n)]
+    for a in range(n):
+        for b in range(n):
+            ea, eb = basis_vec(n, a), basis_vec(n, b)
+            val = c.apply(gcols[a], gcols[b])
+            val = vec_sub(val, g.apply(c.apply(gcols[a], eb)))
+            val = vec_sub(val, g.apply(c.apply(ea, gcols[b])))
+            val = vec_sub(val, c.basis_product(a, b))
+            for k in range(n):
+                planes[k][a][b] = val[k]
+    return NijenhuisTensor(Tensor3(planes))
+
+
+def phase_space_product(p: Tensor3, phi: Matrix) -> Tensor3:
+    """The double product (u,a).(v,b) = (u.v, -L_{phi u}^T b) on basis pairs."""
+    n = p.dim
+    n2 = 2 * n
+    planes = [[[Fraction(0)] * n2 for _ in range(n2)] for _ in range(n2)]
+    for i in range(n):
+        for j in range(n):
+            col = p.basis_product(i, j)
+            for k in range(n):
+                planes[k][i][j] = col[k]
+        lt = -(p.left_mult(phi.column(i)).transpose())
+        for m in range(n):
+            col = lt.column(m)
+            for k in range(n):
+                planes[n + k][i][n + m] = col[k]
+    return Tensor3(planes)
+
+
+def check_phase_space_complex(ps):
+    """Vanishing Nijenhuis torsion of twist . J over the double's commutator."""
+    c = commutator_bracket(ps.product)
+    g = ps.twist @ ps.j_cal
+    n2 = ps.dim
+    gcols = [g.column(i) for i in range(n2)]
+    for a in range(n2):
+        for b in range(a + 1, n2):
+            ea, eb = basis_vec(n2, a), basis_vec(n2, b)
+            val = c.apply(gcols[a], gcols[b])
+            val = vec_sub(val, g.apply(c.apply(gcols[a], eb)))
+            val = vec_sub(val, g.apply(c.apply(ea, gcols[b])))
+            val = vec_sub(val, c.basis_product(a, b))
+            if not is_zero_vec(val):
+                return Violation(
+                    "phase-space-nijenhuis", (a + 1, b + 1), tuple(val)
+                )
+    return True

@@ -291,6 +291,65 @@ class TestClassify2:
         assert run(["classify2"]) == cli.EXIT_INPUT
 
 
+class TestHostileInput:
+    IMEX = ["-p", "a=1", "-p", "b=1", "-p", "A=1"]
+
+    @pytest.fixture()
+    def variant(self, tmp_path):
+        def write(edit):
+            doc = json.loads(catalog.fixture_text("imex"))
+            edit(doc)
+            path = tmp_path / "variant.alg"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            return str(path)
+
+        return write
+
+    @pytest.mark.parametrize("prefix", ["(" * 3000, "-" * 3000], ids=["parens", "minus"])
+    def test_deep_nesting_is_a_syntax_error(self, variant, capsys, prefix):
+        tail = ")" * 3000 if prefix[0] == "(" else ""
+        path = variant(lambda doc: doc["omega"][0].__setitem__(1, prefix + "1" + tail))
+        assert run(["verify", path] + self.IMEX) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "nested deeper than 100" in err
+        assert "at column 101" in err
+
+    def test_nesting_at_the_limit_parses(self, variant, capsys):
+        path = variant(lambda doc: doc["omega"][0].__setitem__(1, "(" * 100 + "0" + ")" * 100))
+        assert run(["verify", path, "--checks", "symplectic"] + self.IMEX) == cli.EXIT_OK
+
+    def test_long_flat_sum_evaluates(self, variant, capsys):
+        # -A at A=1, as a left-deep tree 3,000 nodes deep
+        minus_one = "-" + "-".join(["1/3000"] * 3000)
+        path = variant(lambda doc: doc["omega"][0].__setitem__(2, minus_one))
+        assert run(["verify", path, "--checks", "symplectic"] + self.IMEX) == cli.EXIT_OK
+
+    def test_boolean_bracket_index_is_rejected(self, variant, capsys):
+        path = variant(lambda doc: doc["bracket"][0].__setitem__("i", True))
+        assert run(["verify", path] + self.IMEX) == cli.EXIT_INPUT
+        assert "indices must be integers" in capsys.readouterr().err
+
+    def test_boolean_dimension_is_rejected(self, variant, capsys):
+        path = variant(lambda doc: doc.__setitem__("dimension", True))
+        assert run(["verify", path] + self.IMEX) == cli.EXIT_INPUT
+        assert "integer dimension" in capsys.readouterr().err
+
+    def test_unwritable_json_path_fails_before_checks(self, fixture_file, tmp_path, capsys):
+        target = tmp_path / "missing-dir" / "report.json"
+        code = run(["verify", fixture_file("imex")] + self.IMEX + ["--json", str(target)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT
+        assert "cannot write" in captured.err
+        assert captured.out == ""
+        assert run(["classify2", "--proper", "--json", str(tmp_path)]) == cli.EXIT_INPUT
+
+    def test_probe_leaves_no_file_behind_on_input_error(self, fixture_file, tmp_path):
+        target = tmp_path / "report.json"
+        code = run(["verify", fixture_file("imex"), "-p", "a=1", "--json", str(target)])
+        assert code == cli.EXIT_INPUT
+        assert not target.exists()
+
+
 def test_module_entry_point(fixture_file):
     import subprocess
     import sys

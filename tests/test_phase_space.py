@@ -32,6 +32,7 @@ from homlie.structures import (
     HomLieAlgebra,
     check_hom_jacobi,
     check_hom_left_symmetric,
+    check_morphism,
     commutator_bracket,
 )
 
@@ -269,6 +270,25 @@ class TestBuildPhaseSpace:
         assert check_symplectic(ps.omega, comm, ps.twist) is True
         assert ps.j_cal @ ps.j_cal == -Matrix.identity(n2)
         assert ps.twist @ ps.j_cal == ps.j_cal @ ps.twist
+
+    def test_n32_double_of_the_imex_chain(self):
+        # Doubling three times from the 4D cocycle product, with the base
+        # checks on at every step: the double of a left-symmetric base is
+        # again left-symmetric and symplectic, and its canonical complex
+        # structure is not integrable.
+        product, phi = imex_cocycle_product(2, 3)
+        ps = build_phase_space(product, phi)
+        for _ in range(2):
+            ps = build_phase_space(ps.product, ps.twist)
+        assert ps.dim == 32
+        comm = commutator_bracket(ps.product)
+        assert check_hom_left_symmetric(ps.product, ps.twist) is True
+        assert check_morphism(ps.product, ps.twist) is True
+        assert check_hom_jacobi(comm, ps.twist) is True
+        assert check_symplectic(ps.omega, comm, ps.twist) is True
+        result = check_phase_space_complex(ps)
+        assert not result
+        assert result.kind == "phase-space-nijenhuis"
 
     def test_rejects_non_left_symmetric_base_by_default(self):
         inst = catalog.kahler2_case1(1, 1, -2)
