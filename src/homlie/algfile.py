@@ -17,9 +17,9 @@ expression reported.  Rationals serialize as strings "p/q" or "p".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import record
 from .errors import HomLieError
 from .linalg import Matrix, Tensor3
 
@@ -28,13 +28,20 @@ class InstanceFormatError(HomLieError):
     """Structural problem in an instance document."""
 
 
+# Characters quoted on each side of a syntax error, so input cannot flood stderr.
+QUOTE_RADIUS = 30
+
+
 class AlgSyntaxError(HomLieError):
     """Expression or JSON syntax error with position information."""
 
     def __init__(self, message, source=None, position=None):
         location = ""
         if source is not None and position is not None:
-            location = f" in {source!r} at column {position + 1}"
+            start, end = max(0, position - QUOTE_RADIUS), position + QUOTE_RADIUS
+            cut_left, cut_right = "..." * (start > 0), "..." * (end < len(source))
+            quote = f"{cut_left}{source[start:end]!r}{cut_right}"
+            location = f" in {quote} at column {position + 1}"
         super().__init__(message + location)
         self.source = source
         self.position = position
@@ -111,12 +118,6 @@ class _ExprParser:
         self.pos += 1
         return tok
 
-    def expect(self, kind):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise AlgSyntaxError(f"expected {kind!r}", self.text, tok[1])
-        return tok
-
     def parse(self):
         node = self.expr()
         tok = self.peek()
@@ -167,7 +168,7 @@ class _ExprParser:
         return node
 
 
-@dataclass(frozen=True)
+@record
 class ParamExpr:
     """A parsed expression that remembers its source text for round trips."""
 
@@ -238,7 +239,7 @@ class ParamExpr:
 MATRIX_FIELDS = ("phi", "metric", "omega", "J")
 
 
-@dataclass(frozen=True)
+@record
 class InstanceFile:
     """A parsed instance document, expressions left unbound."""
 
@@ -398,7 +399,7 @@ def serialize_instance(inst: InstanceFile) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-@dataclass(frozen=True)
+@record
 class BoundInstance:
     """An instance with every expression evaluated to a rational.
 
@@ -415,7 +416,7 @@ class BoundInstance:
     metric: Matrix | None = None
     omega: Matrix | None = None
     j: Matrix | None = None
-    bindings: dict = field(default_factory=dict)
+    bindings: dict = {}
 
 
 def bind_params(inst: InstanceFile, bindings: dict) -> BoundInstance:

@@ -30,8 +30,15 @@ def fixture_text(name: str) -> str:
     )
 
 
+# Fixtures parsed so far; an InstanceFile is frozen, so callers can share it.
+_PARSED: dict = {}
+
+
 def load_fixture(name: str) -> InstanceFile:
-    return parse_instance(fixture_text(name))
+    """The parsed fixture; each is parsed once per import of homlie."""
+    if name not in _PARSED:
+        _PARSED[name] = parse_instance(fixture_text(name))
+    return _PARSED[name]
 
 
 def imex(a=1, b=1, big_a=1) -> BoundInstance:
@@ -59,12 +66,3 @@ def kahler2_case1(a=1, h=1, d=-2) -> BoundInstance:
 def kahler2_case2(d=2, t=1) -> BoundInstance:
     """Antidiagonal-branch 2D structure with metric diag(t, t/d^2)."""
     return bind_params(load_fixture("kahler2_case2"), {"d": d, "t": t})
-
-
-def twist2(tag: str, shear=None) -> BoundInstance:
-    """Canonical 2D bracket with one of the three twist files."""
-    if tag == "tilde":
-        return bind_params(load_fixture("twist2_tilde"), {"B": shear})
-    if shear is not None:
-        raise ValueError(f"{tag} twist takes no shear")
-    return bind_params(load_fixture(f"twist2_{tag}"), {})

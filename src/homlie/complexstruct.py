@@ -14,11 +14,11 @@ real closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from . import _kernel
+from ._record import record
 from .errors import (
     InvalidStructureError,
     NonInvolutiveTwistError,
@@ -69,7 +69,7 @@ def check_almost_complex(j: Matrix, phi: Matrix):
     return True
 
 
-@dataclass(frozen=True)
+@record
 class ComplexStructureCandidate:
     """A J verified against its ambient twist: square -Id, twist-commuting."""
 
@@ -87,7 +87,7 @@ class ComplexStructureCandidate:
         return self.twist @ self.j
 
 
-@dataclass(frozen=True)
+@record
 class NijenhuisTensor:
     """Torsion of phi o J, antisymmetric in its two arguments."""
 
@@ -140,7 +140,7 @@ def check_hermitian_compatibility(j: Matrix, g: MetricForm, phi: Matrix):
     return True
 
 
-@dataclass(frozen=True)
+@record
 class ComplexSplit:
     """Eigenbasis of phi o J acting on the complexification.
 
@@ -210,7 +210,7 @@ def complexify_and_split(c: Tensor3, phi: Matrix, j: Matrix) -> ComplexSplit:
     return ComplexSplit(basis10=basis10, basis01=basis01, dim=n)
 
 
-@dataclass(frozen=True)
+@record
 class IntegrabilityReport:
     """Three equivalent integrability verdicts, which must agree."""
 

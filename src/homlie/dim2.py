@@ -13,9 +13,9 @@ exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import record
 from .errors import InvalidStructureError, NoComplexStructureError
 from .linalg import Matrix, Tensor3, null_space, rat
 from .metric import MetricForm, levi_civita_product
@@ -30,7 +30,7 @@ BAR = "bar"
 TILDE = "tilde"
 
 
-@dataclass(frozen=True)
+@record
 class TwistFamily2D:
     """One of the three involutive 2D twists; tilde carries its shear value."""
 
@@ -65,7 +65,7 @@ def canonical_bracket_2d() -> Tensor3:
     return Tensor3.from_table(2, {(1, 2): (0, 1)}, antisymmetric=True)
 
 
-@dataclass(frozen=True)
+@record
 class SolutionFamily:
     """Outcome of a 2D structure solve.
 
@@ -281,11 +281,11 @@ def solve_kahler_2d(twist: TwistFamily2D, j: Matrix, g: MetricForm) -> SolutionF
     )
 
 
-@dataclass(frozen=True)
+@record
 class NonexistenceReport:
     """Almost-complex solves over every proper twist; must be all none."""
 
-    results: dict = field(default_factory=dict)
+    results: dict = {}
 
     @property
     def all_none(self) -> bool:

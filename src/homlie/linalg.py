@@ -8,10 +8,10 @@ either, because all it needs is exact field arithmetic and an
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._record import record
 from .errors import DimensionMismatchError, SingularMatrixError
 
 Rational = Fraction
@@ -413,7 +413,7 @@ NO_SOLUTION = "no_solution"
 NON_UNIQUE = "non_unique"
 
 
-@dataclass(frozen=True)
+@record
 class LinearSolution:
     """Outcome of an exact square linear solve.
 

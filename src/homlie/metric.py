@@ -13,10 +13,10 @@ Nondegeneracy is always decided by exact determinant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernel
+from ._record import record
 from .errors import (
     DegenerateFormError,
     DimensionMismatchError,
@@ -35,7 +35,7 @@ from .linalg import (
 from .structures import Violation, check_antisymmetry, commutator_bracket
 
 
-@dataclass(frozen=True)
+@record
 class MetricForm:
     """Symmetric nondegenerate Gram matrix of an inner product."""
 
@@ -58,7 +58,7 @@ class MetricForm:
         )
 
 
-@dataclass(frozen=True)
+@record
 class SymplecticForm:
     """Antisymmetric nondegenerate matrix omega[i][j] = omega(e_i, e_j)."""
 
@@ -115,7 +115,7 @@ def check_phi_selfadjoint(g: MetricForm, phi: Matrix):
     return True
 
 
-@dataclass(frozen=True)
+@record
 class LeviCivitaProduct:
     """Product from the twisted Koszul formula; torsion and compatibility verified."""
 

@@ -18,11 +18,11 @@ transpose and Ltilde_u = -(L_u)^T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from . import _kernel
+from ._record import record
 from .errors import (
     InvalidStructureError,
     NonInvolutiveTwistError,
@@ -44,7 +44,7 @@ from .structures import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class Representation:
     """Carrier map plus one matrix per base basis vector.
 
@@ -74,7 +74,7 @@ class Representation:
         return out
 
 
-@dataclass(frozen=True)
+@record
 class DualRepresentation:
     """Negative-transpose family on the dual carrier."""
 
@@ -213,7 +213,7 @@ def check_dual_pairing_identity(p: Tensor3, phi: Matrix):
     return True
 
 
-@dataclass(frozen=True)
+@record
 class PhaseSpaceInstance:
     """The double V + V* with product, twist, symplectic form and J.
 

@@ -14,10 +14,10 @@ sides of the failed identity attached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import _kernel
+from ._record import record
 from .errors import DimensionMismatchError, InvalidStructureError
 from .linalg import (
     Matrix,
@@ -32,7 +32,7 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     """First witness of a failed axiom: which identity, where, both sides.
 
@@ -220,7 +220,7 @@ def check_subalgebra(c: Tensor3, phi: Matrix, basis):
 # validated containers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class HomAlgebra:
     """A bilinear product with a twist that is verified to be a morphism."""
 
@@ -240,7 +240,7 @@ class HomAlgebra:
         return self.product.left_mult(u)
 
 
-@dataclass(frozen=True)
+@record
 class HomLieAlgebra:
     """An antisymmetric bracket plus twist, all axioms verified on construction."""
 

@@ -45,6 +45,21 @@ class TestExpressionGrammar:
             ParamExpr.parse("1 + * 2")
         assert "column 5" in str(err.value)
 
+    @pytest.mark.parametrize("prefix", ["(", "-"])
+    def test_syntax_error_quotes_a_bounded_window(self, prefix):
+        tail = ")" * 3000 if prefix == "(" else ""
+        with pytest.raises(AlgSyntaxError) as err:
+            ParamExpr.parse(prefix * 3000 + "1" + tail)
+        message = str(err.value)
+        assert len(message) < 200
+        assert "at column 101" in message
+        assert "...'" in message and "'..." in message
+
+    def test_short_expression_is_quoted_whole(self):
+        with pytest.raises(AlgSyntaxError) as err:
+            ParamExpr.parse("1 + * 2")
+        assert str(err.value) == "expected a value in '1 + * 2' at column 5"
+
     def test_trailing_garbage(self):
         with pytest.raises(AlgSyntaxError):
             ParamExpr.parse("1 2")
@@ -170,6 +185,19 @@ class TestBindParams:
         inst = catalog.load_fixture("imex")
         bound = bind_params(inst, {"a": "1/2", "b": Fraction(2), "A": 1})
         assert bound.bracket.basis_product(0, 1) == (0, 0, Fraction(-1, 2), 0)
+
+    def test_fixtures_are_parsed_once(self):
+        for name in catalog.FIXTURE_NAMES:
+            assert catalog.load_fixture(name) is catalog.load_fixture(name)
+
+    def test_shared_parse_binds_like_a_fresh_one(self):
+        inst = catalog.load_fixture("imex")
+        params = {"a": 2, "b": "1/3", "A": 1}
+        first = bind_params(inst, params)
+        assert bind_params(inst, params) == first
+        assert first.bindings is not bind_params(inst, params).bindings
+        fresh = parse_instance(catalog.fixture_text("imex"))
+        assert bind_params(fresh, params) == first == catalog.imex(2, "1/3", 1)
 
     def test_division_by_zero_reports_expression(self):
         text = """{"dimension": 1, "params": ["a", "b"], "phi": [["a/(b-b)"]]}"""
