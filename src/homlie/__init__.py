@@ -1,8 +1,8 @@
 """homlie: exact verification and construction of twisted Lie-type structures.
 
-Everything runs over arbitrary-precision rationals (and Gaussian
-rationals for complexified computations); every verdict is an exact
-equality, every failed check comes with the first violating basis tuple.
+Everything runs over arbitrary-precision rationals, complexified
+computations included; every verdict is an exact equality, every failed
+check comes with the first violating basis tuple.
 """
 
 from .errors import (
@@ -19,7 +19,6 @@ from .errors import (
     SingularTwistError,
 )
 from .linalg import (
-    GaussianRational,
     LinearSolution,
     Matrix,
     Rational,
@@ -53,7 +52,6 @@ from .metric import (
     check_pseudo_riemannian,
     check_symplectic,
     check_torsion,
-    levi_civita_by_pair_solves,
     levi_civita_product,
     musical_flat,
     musical_sharp,
@@ -71,8 +69,6 @@ from .complexstruct import (
     complexify_and_split,
     induced_symplectic,
     nijenhuis_tensor,
-    projector_01,
-    projector_10,
 )
 from .phase_space import (
     DualRepresentation,

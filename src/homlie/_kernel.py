@@ -5,8 +5,7 @@ columns over one common denominator D, so that c[k][i][j] is
 table[i, j][k] / D.  A ``Matrix`` lowers to sparse integer columns
 {row: int} over one common denominator.  Each object is lowered once,
 on first use, into a slot of the immutable object itself, so later
-checks on the same object reuse the table.  Only rational matrices
-lower; a Gaussian entry with a nonzero imaginary part is an error.
+checks on the same object reuse the table.
 
 Every identity scanned here is homogeneous in each of its inputs, so
 clearing denominators is exact: a term of degree d in an input lowered
@@ -26,8 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .errors import DimensionMismatchError, InvalidStructureError
-from .linalg import GaussianRational
+from .errors import DimensionMismatchError
 
 _EMPTY: dict = {}
 
@@ -70,16 +68,6 @@ def table(t) -> _Table:
     return low
 
 
-def _rational(x) -> Fraction:
-    if isinstance(x, GaussianRational):
-        if x.im:
-            raise InvalidStructureError(
-                f"basis-tuple checks need rational matrices, got the entry {x}"
-            )
-        return x.re
-    return x
-
-
 def columns(m) -> tuple:
     """(columns, den) of a lowered Matrix, built on first use.
 
@@ -91,7 +79,7 @@ def columns(m) -> tuple:
     except AttributeError:
         pass
     found = [
-        (r, j, _rational(x))
+        (r, j, x)
         for r, row in enumerate(m.rows)
         for j, x in enumerate(row)
         if x

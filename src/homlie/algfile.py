@@ -17,6 +17,7 @@ expression reported.  Rationals serialize as strings "p/q" or "p".
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from ._record import record
@@ -71,7 +72,32 @@ _OPS = set("+-*/()")
 # Parentheses and unary minus nest the parser's recursion; beyond this
 # depth an expression is rejected instead of exhausting the stack.
 MAX_NESTING = 100
+# Longest rational literal, in characters, and largest decimal exponent.
+# A literal's value then has at most 2 * MAX_LITERAL digits, far below the
+# 4,300-digit limit some interpreters put on int/str conversion.
+MAX_LITERAL = 1000
 _BINARY = ("add", "sub", "mul", "div")
+_EXPONENT = re.compile(r"[eE]([-+]?\d(?:_?\d)*)\s*\Z")
+
+
+def _check_literal(text: str, source=None, position=None):
+    """Reject a rational literal too long or too finely scaled to handle."""
+    if len(text) > MAX_LITERAL:
+        raise AlgSyntaxError(
+            f"numeric literal longer than {MAX_LITERAL} characters", source, position
+        )
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > MAX_LITERAL:
+        raise AlgSyntaxError(
+            f"numeric literal with a decimal exponent beyond {MAX_LITERAL}",
+            source,
+            position,
+        )
+
+
+def _json_int(text: str) -> int:
+    _check_literal(text)
+    return int(text)
 
 
 def _tokenize(text: str):
@@ -90,6 +116,7 @@ def _tokenize(text: str):
             start = i
             while i < len(text) and text[i].isdigit():
                 i += 1
+            _check_literal(text[start:i], text, start)
             tokens.append(("num", start, text[start:i]))
             continue
         if ch.isalpha() or ch == "_":
@@ -313,7 +340,7 @@ def _parse_entries(raw, n, label, antisymmetric) -> tuple:
 def parse_instance(text: str) -> InstanceFile:
     """Parse an instance document; errors carry positions where available."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise AlgSyntaxError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -18,7 +18,13 @@ import os
 import sys
 from fractions import Fraction
 
-from .algfile import BoundInstance, bind_params, parse_instance
+from .algfile import (
+    AlgSyntaxError,
+    BoundInstance,
+    _check_literal,
+    bind_params,
+    parse_instance,
+)
 from .complexstruct import (
     check_almost_complex,
     check_hermitian_compatibility,
@@ -385,14 +391,8 @@ def _build_complexify(inst: BoundInstance, report: Report):
     split = complexify_and_split(bracket, inst.phi, j)
     report.derived["complexify"] = {
         "rank": split.rank,
-        "basis10": [
-            {"re": _vec_json([z.re for z in v]), "im": _vec_json([z.im for z in v])}
-            for v in split.basis10
-        ],
-        "basis01": [
-            {"re": _vec_json([z.re for z in v]), "im": _vec_json([z.im for z in v])}
-            for v in split.basis01
-        ],
+        "basis10": [{"re": _vec_json(a), "im": _vec_json(b)} for a, b in split.basis10],
+        "basis01": [{"re": _vec_json(a), "im": _vec_json(b)} for a, b in split.basis01],
     }
     rep = check_integrability_equivalence(bracket, inst.phi, j)
     report.derived["complexify"]["integrability"] = {
@@ -487,7 +487,10 @@ def cmd_classify2(args) -> int:
 
 def _parse_rational(text: str) -> Fraction:
     try:
+        _check_literal(text)
         return Fraction(text)
+    except AlgSyntaxError as exc:
+        raise InputError(str(exc)) from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational value: {text!r}") from exc
 

@@ -7,14 +7,15 @@ the Nijenhuis torsion of the composite G = phi o J,
     N(u,v) = [Gu, Gv] - G[Gu, v] - G[u, Gv] - [u, v],
 
 and is equivalent to either eigenspace of G inside the complexified
-algebra being closed under the bracket and the twist.  All complexified
-computation runs over GaussianRational scalars; nothing here ever needs
-real closure.
+algebra being closed under the bracket and the twist.  A complex vector
+a + ib is the pair (a, b) of rational vectors, and a complex subspace is
+decided through its realification: the rational span of all (a, b) and
+(-b, a) in Q^2n, under the realified bracket and the twist phi + phi.
+Nothing here ever needs real closure.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from . import _kernel
@@ -25,13 +26,12 @@ from .errors import (
     OddDimensionError,
 )
 from .linalg import (
-    GaussianRational,
     Matrix,
     Tensor3,
     basis_vec,
-    conj_vec,
-    independent_subset,
-    to_gaussian_vec,
+    direct_sum,
+    row_space_rank,
+    vec_neg,
 )
 from .metric import MetricForm, SymplecticForm, check_pseudo_riemannian
 from .structures import Violation, check_subalgebra
@@ -144,8 +144,9 @@ def check_hermitian_compatibility(j: Matrix, g: MetricForm, phi: Matrix):
 class ComplexSplit:
     """Eigenbasis of phi o J acting on the complexification.
 
-    ``basis10`` spans the +i eigenspace as {u - i (phi J) u} vectors,
-    ``basis01`` the -i eigenspace; conjugation carries one onto the other.
+    ``basis10`` spans the +i eigenspace with vectors u - i (phi J) u and
+    ``basis01`` the -i eigenspace with their conjugates; each vector is a
+    pair (re, im) of rational tuples.
     """
 
     basis10: tuple
@@ -157,57 +158,40 @@ class ComplexSplit:
         return len(self.basis10)
 
 
-def projector_10(phi: Matrix, j: Matrix) -> Matrix:
-    """pi = (Id - i (phi J)) / 2 over Gaussian rationals."""
-    n = phi.nrows
-    pj = phi @ j
-    half = Fraction(1, 2)
-    return Matrix(
-        [
-            [
-                GaussianRational(half if a == b else 0, -half * pj[a, b])
-                for b in range(n)
-            ]
-            for a in range(n)
-        ]
-    )
-
-
-def projector_01(phi: Matrix, j: Matrix) -> Matrix:
-    n = phi.nrows
-    pj = phi @ j
-    half = Fraction(1, 2)
-    return Matrix(
-        [
-            [
-                GaussianRational(half if a == b else 0, half * pj[a, b])
-                for b in range(n)
-            ]
-            for a in range(n)
-        ]
-    )
+def _realify(vectors) -> list:
+    """The rational spanning set {(a, b), (-b, a)} of the pairs' complex span."""
+    return [part for a, b in vectors for part in (a + b, vec_neg(b) + a)]
 
 
 def complexify_and_split(c: Tensor3, phi: Matrix, j: Matrix) -> ComplexSplit:
     """Reduce the candidate vectors e_k - i (phi J) e_k to an eigenbasis.
 
-    Deterministic first-nonzero pivoting keeps the earliest independent
-    candidates, so the output basis is reproducible.
+    A candidate is kept when it raises the rational rank of the
+    realification of those kept before it, which is twice their complex
+    rank; so the earliest independent candidates are kept, reproducibly.
     """
     _require_almost_complex(c, phi, j)
     n = c.dim
     pj = phi @ j
-    candidates = []
+    kept = []
     for k in range(n):
-        w = pj.column(k)
-        candidates.append(
-            tuple(
-                GaussianRational(1 if m == k else 0, -w[m]) for m in range(n)
-            )
-        )
-    basis10 = tuple(independent_subset(candidates))
-    basis01 = tuple(conj_vec(v) for v in basis10)
-    return ComplexSplit(basis10=basis10, basis01=basis01, dim=n)
+        pair = (basis_vec(n, k), vec_neg(pj.column(k)))
+        if row_space_rank(_realify(kept + [pair])) > 2 * len(kept):
+            kept.append(pair)
+    basis01 = tuple((a, vec_neg(b)) for a, b in kept)
+    return ComplexSplit(basis10=tuple(kept), basis01=basis01, dim=n)
+
+
+def _realified_bracket(c: Tensor3) -> Tensor3:
+    """[x1 + i y1, x2 + i y2] = ([x1, x2] - [y1, y2]) + i ([x1, y2] + [y1, x2])."""
+    n = c.dim
+    zero = (0,) * n
+    table = {}
+    for (i, j), col in c.nonzero_table().items():
+        table[i, j] = col + zero
+        table[n + i, n + j] = vec_neg(col) + zero
+        table[i, n + j] = table[n + i, j] = zero + col
+    return Tensor3.from_table(2 * n, table)
 
 
 @record
@@ -230,11 +214,15 @@ class IntegrabilityReport:
 def check_integrability_equivalence(
     c: Tensor3, phi: Matrix, j: Matrix
 ) -> IntegrabilityReport:
-    """Eigenspace closure versus vanishing torsion, computed independently."""
+    """Eigenspace closure versus vanishing torsion, computed independently.
+
+    Each eigenspace is checked as a subalgebra of the 2n-dimensional
+    realification of the complexified algebra.
+    """
     split = complexify_and_split(c, phi, j)
-    phi_c = phi.to_gaussian()
-    sub10 = check_subalgebra(c, phi_c, [to_gaussian_vec(v) for v in split.basis10])
-    sub01 = check_subalgebra(c, phi_c, [to_gaussian_vec(v) for v in split.basis01])
+    real_c, real_phi = _realified_bracket(c), direct_sum(phi, phi)
+    sub10 = check_subalgebra(real_c, real_phi, _realify(split.basis10))
+    sub01 = check_subalgebra(real_c, real_phi, _realify(split.basis01))
     nz = nijenhuis_tensor(c, phi, j).is_zero()
     return IntegrabilityReport(
         subalgebra_10=bool(sub10), subalgebra_01=bool(sub01), nijenhuis_zero=nz

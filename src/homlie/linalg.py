@@ -1,9 +1,8 @@
 """Exact scalar and dense linear-algebra substrate.
 
-Scalars are ``fractions.Fraction`` (aliased ``Rational``) or
-``GaussianRational`` pairs of fractions; every routine below works over
-either, because all it needs is exact field arithmetic and an
-``x == 0`` test.  No floating point appears anywhere in this package.
+Scalars are ``fractions.Fraction`` (aliased ``Rational``).  Every solve,
+inverse, determinant, kernel and rank below is read off one Gauss-Jordan
+elimination.  No floating point appears anywhere in this package.
 """
 
 from __future__ import annotations
@@ -21,126 +20,7 @@ def rat(x) -> Fraction:
     """Coerce an int, string like "3/4", or Fraction to a Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, GaussianRational):
-        if x.im != 0:
-            raise ValueError(f"{x} has a nonzero imaginary part")
-        return x.re
     return Fraction(x)
-
-
-class GaussianRational:
-    """A complex number with exact rational real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    # -- ring/field operations -------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __pos__(self):
-        return self
-
-    # -- structure ---------------------------------------------------------
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm_square(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
-
-
-I_UNIT = GaussianRational(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +28,7 @@ I_UNIT = GaussianRational(0, 1)
 # ---------------------------------------------------------------------------
 
 def vec(xs: Iterable) -> tuple:
-    return tuple(x if isinstance(x, GaussianRational) else Fraction(x) for x in xs)
+    return tuple(Fraction(x) for x in xs)
 
 
 def vec_add(u: Sequence, v: Sequence) -> tuple:
@@ -185,24 +65,12 @@ def pairing(alpha: Sequence, v: Sequence) -> object:
     return sum((a * b for a, b in zip(alpha, v, strict=True)), Fraction(0))
 
 
-def conj_vec(u: Sequence) -> tuple:
-    return tuple(
-        x.conjugate() if isinstance(x, GaussianRational) else x for x in u
-    )
-
-
-def to_gaussian_vec(u: Sequence) -> tuple:
-    return tuple(
-        x if isinstance(x, GaussianRational) else GaussianRational(x) for x in u
-    )
-
-
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
 
 class Matrix:
-    """Immutable dense matrix; entries Fraction or GaussianRational.
+    """Immutable dense matrix of Fraction entries.
 
     Column convention throughout: the matrix of a linear map sends the
     j-th basis vector to the j-th column.  ``_lowered`` is filled on first
@@ -212,10 +80,7 @@ class Matrix:
     __slots__ = ("rows", "nrows", "ncols", "_lowered")
 
     def __init__(self, rows):
-        rows = tuple(
-            tuple(x if isinstance(x, GaussianRational) else Fraction(x) for x in row)
-            for row in rows
-        )
+        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
         if not rows or not rows[0]:
             raise DimensionMismatchError("empty matrix")
         width = len(rows[0])
@@ -227,6 +92,9 @@ class Matrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    def __reduce__(self):
+        return (Matrix, (self.rows,))
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -260,14 +128,8 @@ class Matrix:
         i, j = key
         return self.rows[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
-
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
 
     # -- arithmetic -----------------------------------------------------------
     def __matmul__(self, other):
@@ -353,39 +215,75 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.rows for x in r)
 
-    def to_gaussian(self) -> "Matrix":
-        return Matrix([to_gaussian_vec(r) for r in self.rows])
-
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
         return f"Matrix[{body}]"
 
 
-def determinant(a: Matrix):
-    """Exact determinant by fraction-free (Bareiss) elimination.
+def direct_sum(a: Matrix, b: Matrix) -> Matrix:
+    """The block-diagonal matrix with blocks a and b."""
+    n, m = a.nrows, b.nrows
+    return Matrix(
+        [list(row) + [0] * m for row in a.rows]
+        + [[0] * n + list(row) for row in b.rows]
+    )
 
-    Pivot selection is first-nonzero in column order, so the result is
-    deterministic.  Works over Fraction and GaussianRational entries.
+
+def _sweep(rows: list, ncols: int) -> tuple:
+    """Gauss-Jordan elimination of ``rows`` in place, on its first ncols columns.
+
+    The pivot of each column is the first row at or below the current rank
+    with a nonzero entry there; zero entries are skipped.  Afterwards rows
+    holds the reduced row echelon form.  Returns the pivot columns, in row
+    order, and the product of the pivots signed by the row swaps, which for
+    a square matrix of full rank is its determinant.
     """
+    pivots = []
+    det = Fraction(1)
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        p = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if p is None:
+            continue
+        if p != rank:
+            rows[rank], rows[p] = rows[p], rows[rank]
+            det = -det
+        pv = rows[rank][col]
+        det *= pv
+        if pv != 1:
+            rows[rank] = [x / pv if x else x for x in rows[rank]]
+        nonzero = [(k, y) for k, y in enumerate(rows[rank]) if y]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != rank:
+                for k, y in nonzero:
+                    row[k] -= f * y
+        pivots.append(col)
+    return pivots, det
+
+
+def _free_vectors(rows: list, pivots: list, ncols: int) -> list:
+    """Kernel basis of a reduced system, one vector per free column."""
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def determinant(a: Matrix):
+    """Exact determinant: the signed pivot product of the elimination."""
     if not a.is_square:
         raise DimensionMismatchError("determinant of a non-square matrix")
-    n = a.nrows
-    m = [list(r) for r in a.rows]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    pivots, det = _sweep([list(r) for r in a.rows], a.ncols)
+    return det if len(pivots) == a.nrows else Fraction(0)
 
 
 def matrix_inverse(a: Matrix) -> Matrix:
@@ -393,19 +291,10 @@ def matrix_inverse(a: Matrix) -> Matrix:
     if not a.is_square:
         raise DimensionMismatchError("inverse of a non-square matrix")
     n = a.nrows
-    m = [list(r) + list(Matrix.identity(n).rows[i]) for i, r in enumerate(a.rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return Matrix([row[n:] for row in m])
+    rows = [list(r) + list(e) for r, e in zip(a.rows, Matrix.identity(n).rows)]
+    if len(_sweep(rows, n)[0]) < n:
+        raise SingularMatrixError("matrix is singular")
+    return Matrix([row[n:] for row in rows])
 
 
 UNIQUE = "unique"
@@ -436,92 +325,27 @@ def solve_linear(a: Matrix, b: Sequence) -> LinearSolution:
     n = a.nrows
     if len(b) != n:
         raise DimensionMismatchError("right-hand side length mismatch")
-    m = [list(row) + [bx] for row, bx in zip(a.rows, vec(b))]
-    pivot_cols = []
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for r in range(n):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    if any(m[r][n] != 0 for r in range(rank, n)):
+    rows = [list(row) + [bx] for row, bx in zip(a.rows, vec(b))]
+    pivots, _ = _sweep(rows, n)
+    if any(rows[r][n] for r in range(len(pivots), n)):
         return LinearSolution(NO_SOLUTION)
-    if rank < n:
-        free = next(c for c in range(n) if c not in pivot_cols)
-        kernel = [Fraction(0)] * n
-        kernel[free] = Fraction(1)
-        for r, pc in enumerate(pivot_cols):
-            kernel[pc] = -m[r][free]
-        return LinearSolution(NON_UNIQUE, kernel=tuple(kernel))
-    x = [Fraction(0)] * n
-    for r, pc in enumerate(pivot_cols):
-        x[pc] = m[r][n]
-    return LinearSolution(UNIQUE, x=tuple(x))
+    if len(pivots) < n:
+        return LinearSolution(NON_UNIQUE, kernel=_free_vectors(rows, pivots, n)[0])
+    return LinearSolution(UNIQUE, x=tuple(row[n] for row in rows))
 
 
 def null_space(a: Matrix) -> list:
     """Basis of the exact kernel of a (possibly non-square) matrix."""
-    nrows, ncols = a.shape
-    m = [list(r) for r in a.rows]
-    pivot_cols = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        pivot_cols.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for r, pc in enumerate(pivot_cols):
-            v[pc] = -m[r][free]
-        basis.append(tuple(v))
-    return basis
+    rows = [list(r) for r in a.rows]
+    return _free_vectors(rows, _sweep(rows, a.ncols)[0], a.ncols)
 
 
 def row_space_rank(vectors: Sequence[Sequence]) -> int:
     """Rank of the span of the given vectors, by exact row reduction."""
-    rows = [list(v) for v in vectors]
+    rows = [list(vec(v)) for v in vectors]
     if not rows:
         return 0
-    width = len(rows[0])
-    rank = 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return len(_sweep(rows, len(rows[0]))[0])
 
 
 def independent_subset(vectors: Sequence[Sequence]) -> list:
@@ -577,6 +401,9 @@ class Tensor3:
     def __setattr__(self, name, value):
         raise AttributeError("Tensor3 is immutable")
 
+    def __reduce__(self):
+        return (Tensor3, (self.entries,))
+
     @classmethod
     def zeros(cls, n: int) -> "Tensor3":
         return cls([[[0] * n for _ in range(n)] for _ in range(n)])
@@ -610,7 +437,7 @@ class Tensor3:
         return tuple(self.entries[k][i][j] for k in range(self.dim))
 
     def apply(self, u: Sequence, v: Sequence) -> tuple:
-        """Bilinear evaluation on arbitrary vectors (rational or Gaussian)."""
+        """Bilinear evaluation on arbitrary vectors."""
         n = self.dim
         if len(u) != n or len(v) != n:
             raise DimensionMismatchError("vector length does not match tensor dim")
@@ -671,20 +498,6 @@ class Tensor3:
 
     def __hash__(self):
         return hash(self.entries)
-
-    def __sub__(self, other):
-        if not isinstance(other, Tensor3) or other.dim != self.dim:
-            raise DimensionMismatchError("tensor subtraction shape mismatch")
-        n = self.dim
-        return Tensor3(
-            [
-                [
-                    [self.entries[k][i][j] - other.entries[k][i][j] for j in range(n)]
-                    for i in range(n)
-                ]
-                for k in range(n)
-            ]
-        )
 
     def __repr__(self):
         table = self.nonzero_table()

@@ -30,7 +30,6 @@ from .linalg import (
     basis_vec,
     determinant,
     matrix_inverse,
-    solve_linear,
 )
 from .structures import Violation, check_antisymmetry, commutator_bracket
 
@@ -175,32 +174,6 @@ def levi_civita_product(c: Tensor3, phi: Matrix, g: MetricForm) -> LeviCivitaPro
     return LeviCivitaProduct(product)
 
 
-def levi_civita_by_pair_solves(c: Tensor3, phi: Matrix, g: MetricForm) -> Tensor3:
-    """Independent oracle: one exact linear solve per basis pair.
-
-    Assembles the n x n system 2<x, phi(e_k)> = rhs_k row by row and calls
-    the generic solver, never sharing a factorization.  Raises if any
-    pair system is singular or inconsistent.
-    """
-    n = c.dim
-    rows = []
-    for k in range(n):
-        pk = phi.column(k)
-        rows.append([2 * g.inner(basis_vec(n, m), pk) for m in range(n)])
-    system = Matrix(rows)
-    planes = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sol = solve_linear(system, _koszul_rhs(c, phi, g, i, j))
-            if not sol:
-                raise SingularTwistError(
-                    f"Koszul system for pair ({i + 1}, {j + 1}) is {sol.status}"
-                )
-            for k in range(n):
-                planes[k][i][j] = sol.x[k]
-    return Tensor3(planes)
-
-
 def check_torsion(p: Tensor3, c: Tensor3):
     """commutator of the product equals the bracket."""
     comm = commutator_bracket(p)
@@ -290,15 +263,3 @@ def musical_flat(g: MetricForm, u) -> tuple:
 def musical_sharp(g: MetricForm, alpha) -> tuple:
     """Inverse of flat: the vector whose pairing with everything matches alpha."""
     return matrix_inverse(g.gram).apply(alpha)
-
-
-def koszul_residual(
-    p: Tensor3, c: Tensor3, phi: Matrix, g: MetricForm, i: int, j: int, k: int
-) -> object:
-    """2<P(e_i,e_j), phi e_k> minus the Koszul right side, 0-based indices.
-
-    Zero on every triple exactly when P is the Koszul product; used to
-    spot-check uniqueness by perturbing single structure constants.
-    """
-    lhs = 2 * g.inner(p.basis_product(i, j), phi.column(k))
-    return lhs - _koszul_rhs(c, phi, g, i, j)[k]

@@ -32,6 +32,7 @@ from .errors import (
 from .linalg import (
     Matrix,
     Tensor3,
+    direct_sum,
     matrix_inverse,
 )
 from .metric import MetricForm, SymplecticForm, check_phi_selfadjoint
@@ -269,12 +270,10 @@ def canonical_complex_structure(phi: Matrix, g: MetricForm) -> Matrix:
     n = phi.nrows
     upper = -(phi @ matrix_inverse(g.gram))
     lower = phi.transpose() @ g.gram
-    rows = []
-    for i in range(n):
-        rows.append([Fraction(0)] * n + list(upper.row(i)))
-    for i in range(n):
-        rows.append(list(lower.row(i)) + [Fraction(0)] * n)
-    return Matrix(rows)
+    return Matrix(
+        [[0] * n + list(row) for row in upper.rows]
+        + [list(row) + [0] * n for row in lower.rows]
+    )
 
 
 def build_phase_space(
@@ -309,7 +308,7 @@ def build_phase_space(
         raise InvalidStructureError(
             "musical metric must make the twist selfadjoint", sa
         )
-    twist = _direct_sum(phi, phi.transpose())
+    twist = direct_sum(phi, phi.transpose())
     return PhaseSpaceInstance(
         base_dim=n,
         product=phase_space_product(p, phi),
@@ -318,16 +317,6 @@ def build_phase_space(
         j_cal=canonical_complex_structure(phi, metric),
         metric=metric,
     )
-
-
-def _direct_sum(a: Matrix, b: Matrix) -> Matrix:
-    n, m = a.nrows, b.nrows
-    rows = []
-    for i in range(n):
-        rows.append(list(a.row(i)) + [Fraction(0)] * m)
-    for i in range(m):
-        rows.append([Fraction(0)] * n + list(b.row(i)))
-    return Matrix(rows)
 
 
 def check_phase_space_complex(ps: PhaseSpaceInstance):

@@ -196,9 +196,8 @@ def check_hom_lie_admissible(p: Tensor3, phi: Matrix):
 def check_subalgebra(c: Tensor3, phi: Matrix, basis):
     """Closure of a subspace under the twist and the bracket.
 
-    ``basis`` is a list of linearly independent vectors (rational or
-    Gaussian-rational entries); membership is decided by exact row
-    reduction.
+    ``basis`` is a list of linearly independent rational vectors;
+    membership is decided by exact row reduction.
     """
     _require_dims(c, phi)
     vectors = [tuple(v) for v in basis]

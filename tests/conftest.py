@@ -107,3 +107,25 @@ def imex_block_j(rng):
     rows[1][1], rows[1][3] = p2, q2
     rows[3][1], rows[3][3] = r2, -p2
     return Matrix(rows)
+
+
+def realify(pairs):
+    """The rational vectors (a, b) and (-b, a) spanning the pairs' complex span."""
+    return [tuple(a) + tuple(b) for a, b in pairs] + [
+        tuple(-x for x in b) + tuple(a) for a, b in pairs
+    ]
+
+
+def realified_bracket(c):
+    """The complexified bracket on C^n = R^2n, built entry by entry."""
+    n = c.dim
+    planes = [[[Fraction(0)] * (2 * n) for _ in range(2 * n)] for _ in range(2 * n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                x = c.entries[k][i][j]
+                planes[k][i][j] = x
+                planes[k][n + i][n + j] = -x
+                planes[n + k][i][n + j] = x
+                planes[n + k][n + i][j] = x
+    return Tensor3(planes)

@@ -1,11 +1,14 @@
-"""Dense reference implementations of the kernel-backed checkers.
+"""Reference implementations kept as oracles of the differential tests.
 
-These are the loop bodies the library used before its checkers moved
+Most are the loop bodies the library used before its checkers moved
 onto the sparse integer kernel: every basis tuple in lexicographic
 order, both sides evaluated with dense ``Fraction`` arithmetic.  They
-are kept verbatim as the oracle of the differential tests, which
-require equal verdicts and equal ``Violation`` contents (kind, witness,
-lhs, rhs).  Nothing in ``src`` imports this module.
+are kept verbatim, and the tests require equal verdicts and equal
+``Violation`` contents (kind, witness, lhs, rhs).  The fraction-free
+determinant is the one the library used before its eliminations were
+merged into one Gauss-Jordan sweep, and the two Koszul routines are
+independent oracles of ``levi_civita_product``.  Nothing in ``src``
+imports this module.
 """
 
 from __future__ import annotations
@@ -14,7 +17,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from homlie.complexstruct import NijenhuisTensor, _require_almost_complex
-from homlie.errors import InvalidStructureError, NonInvolutiveTwistError, SingularTwistError
+from homlie.errors import (
+    DimensionMismatchError,
+    InvalidStructureError,
+    NonInvolutiveTwistError,
+    SingularTwistError,
+)
 from homlie.linalg import (
     Matrix,
     Tensor3,
@@ -22,10 +30,11 @@ from homlie.linalg import (
     determinant,
     is_zero_vec,
     matrix_inverse,
+    solve_linear,
     vec_sub,
     zero_vec,
 )
-from homlie.metric import SymplecticForm
+from homlie.metric import MetricForm, SymplecticForm, _koszul_rhs
 from homlie.structures import (
     Violation,
     _require_dims,
@@ -256,3 +265,68 @@ def check_phase_space_complex(ps):
                     "phase-space-nijenhuis", (a + 1, b + 1), tuple(val)
                 )
     return True
+
+
+def bareiss_determinant(a: Matrix):
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Pivot selection is first-nonzero in column order, so the result is
+    deterministic.
+    """
+    if not a.is_square:
+        raise DimensionMismatchError("determinant of a non-square matrix")
+    n = a.nrows
+    m = [list(r) for r in a.rows]
+    sign = 1
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if pivot is None:
+                return Fraction(0)
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+            m[i][k] = Fraction(0)
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def levi_civita_by_pair_solves(c: Tensor3, phi: Matrix, g: MetricForm) -> Tensor3:
+    """Independent oracle: one exact linear solve per basis pair.
+
+    Assembles the n x n system 2<x, phi(e_k)> = rhs_k row by row and calls
+    the generic solver, never sharing a factorization.  Raises if any
+    pair system is singular or inconsistent.
+    """
+    n = c.dim
+    rows = []
+    for k in range(n):
+        pk = phi.column(k)
+        rows.append([2 * g.inner(basis_vec(n, m), pk) for m in range(n)])
+    system = Matrix(rows)
+    planes = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            sol = solve_linear(system, _koszul_rhs(c, phi, g, i, j))
+            if not sol:
+                raise SingularTwistError(
+                    f"Koszul system for pair ({i + 1}, {j + 1}) is {sol.status}"
+                )
+            for k in range(n):
+                planes[k][i][j] = sol.x[k]
+    return Tensor3(planes)
+
+
+def koszul_residual(
+    p: Tensor3, c: Tensor3, phi: Matrix, g: MetricForm, i: int, j: int, k: int
+) -> object:
+    """2<P(e_i,e_j), phi e_k> minus the Koszul right side, 0-based indices.
+
+    Zero on every triple exactly when P is the Koszul product; used to
+    spot-check uniqueness by perturbing single structure constants.
+    """
+    lhs = 2 * g.inner(p.basis_product(i, j), phi.column(k))
+    return lhs - _koszul_rhs(c, phi, g, i, j)[k]

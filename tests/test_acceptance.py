@@ -16,8 +16,6 @@ from homlie.complexstruct import (
     complexify_and_split,
     induced_symplectic,
     nijenhuis_tensor,
-    projector_01,
-    projector_10,
 )
 from homlie.dim2 import (
     BAR,
@@ -30,7 +28,7 @@ from homlie.dim2 import (
     solve_hermitian_2d,
     solve_kahler_2d,
 )
-from homlie.linalg import Matrix, Tensor3, determinant, in_span, to_gaussian_vec
+from homlie.linalg import Matrix, Tensor3, determinant, direct_sum, in_span, vec_neg
 from homlie.metric import (
     MetricForm,
     SymplecticForm,
@@ -38,7 +36,6 @@ from homlie.metric import (
     check_pseudo_riemannian,
     check_symplectic,
     check_torsion,
-    levi_civita_by_pair_solves,
     levi_civita_product,
     symplectic_left_symmetric,
 )
@@ -60,6 +57,7 @@ from homlie.structures import (
     check_hom_left_symmetric,
     check_hom_lie_admissible,
     check_morphism,
+    check_subalgebra,
     commutator_bracket,
     hom_jacobi_defect,
 )
@@ -73,7 +71,10 @@ from conftest import (
     conjugate_tensor,
     conjugate_twist,
     pullback_metric,
+    realified_bracket,
+    realify,
 )
+from reference import levi_civita_by_pair_solves
 
 BINDINGS = [(1, 1, 1), (2, 3, 1), (Fraction(-1), Fraction(1, 2), 5)]
 
@@ -188,18 +189,19 @@ def test_criterion_5_complexification():
     split = complexify_and_split(inst.bracket, inst.phi, inst.j)
     assert split.rank == 2
 
-    p10 = projector_10(inst.phi, inst.j)
-    p01 = projector_01(inst.phi, inst.j)
-    assert p10 + p01 == Matrix.identity(4).to_gaussian()
+    pj = inst.phi @ inst.j
+    for a, b in split.basis10:
+        assert pj.apply(a) == vec_neg(b) and pj.apply(b) == a
+    for a, b in split.basis01:
+        assert pj.apply(a) == b and pj.apply(b) == vec_neg(a)
 
-    basis01 = [to_gaussian_vec(v) for v in split.basis01]
-    for w in split.basis10:
-        conj = tuple(z.conjugate() for z in w)
-        assert in_span(basis01, conj)
-    basis10 = [to_gaussian_vec(v) for v in split.basis10]
-    for w in split.basis01:
-        conj = tuple(z.conjugate() for z in w)
-        assert in_span(basis10, conj)
+    for here, there in ((split.basis10, split.basis01), (split.basis01, split.basis10)):
+        span = realify(there)
+        for a, b in here:
+            assert in_span(span, a + vec_neg(b))
+    real_c, real_phi = realified_bracket(inst.bracket), direct_sum(inst.phi, inst.phi)
+    for basis in (split.basis10, split.basis01):
+        assert check_subalgebra(real_c, real_phi, realify(basis)) is True
 
     rng = random.Random(20260809)
     structures = [imex_block_j(rng) for _ in range(19)] + [inst.j]

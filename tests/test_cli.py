@@ -3,6 +3,7 @@ import json
 import pytest
 
 from homlie import catalog, cli
+from homlie.algfile import MAX_LITERAL
 
 
 @pytest.fixture()
@@ -230,6 +231,47 @@ class TestBuild:
         assert doc["derived"]["complexify"]["rank"] == 2
         assert doc["derived"]["complexify"]["integrability"]["nijenhuis_zero"] is True
 
+    @pytest.mark.parametrize(
+        "name, params, expected",
+        [
+            ("kahler4", ["a=1", "b=1", "A=1"], {
+                "rank": 2,
+                "basis10": [
+                    {"re": ["1", "0", "0", "0"], "im": ["0", "0", "1", "0"]},
+                    {"re": ["0", "1", "0", "0"], "im": ["0", "0", "0", "-1"]},
+                ],
+                "basis01": [
+                    {"re": ["1", "0", "0", "0"], "im": ["0", "0", "-1", "0"]},
+                    {"re": ["0", "1", "0", "0"], "im": ["0", "0", "0", "1"]},
+                ],
+                "integrability": {
+                    "subalgebra_10": True, "subalgebra_01": True, "nijenhuis_zero": True,
+                },
+            }),
+            ("hermitian4", ["a=1"], {
+                "rank": 2,
+                "basis10": [
+                    {"re": ["1", "0", "0", "0"], "im": ["0", "0", "-1", "0"]},
+                    {"re": ["0", "1", "0", "0"], "im": ["0", "0", "0", "-1"]},
+                ],
+                "basis01": [
+                    {"re": ["1", "0", "0", "0"], "im": ["0", "0", "1", "0"]},
+                    {"re": ["0", "1", "0", "0"], "im": ["0", "0", "0", "1"]},
+                ],
+                "integrability": {
+                    "subalgebra_10": False, "subalgebra_01": False, "nijenhuis_zero": False,
+                },
+            }),
+        ],
+        ids=["kahler4", "hermitian4"],
+    )
+    def test_complexify_block_is_pinned(self, fixture_file, tmp_path, name, params, expected):
+        out_path = tmp_path / "cx.json"
+        p_args = [x for p in params for x in ("-p", p)]
+        run(["build", fixture_file(name)] + p_args
+            + ["--target", "complexify", "--json", str(out_path)])
+        assert json.loads(out_path.read_text())["derived"]["complexify"] == expected
+
     def test_induced_omega_matches_fixture(self, fixture_file, tmp_path):
         out_path = tmp_path / "io.json"
         code = run(
@@ -333,6 +375,34 @@ class TestHostileInput:
         path = variant(lambda doc: doc.__setitem__("dimension", True))
         assert run(["verify", path] + self.IMEX) == cli.EXIT_INPUT
         assert "integer dimension" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("as_string", [True, False], ids=["string", "json-integer"])
+    def test_oversized_literal_is_an_input_error(self, variant, capsys, as_string):
+        literal = "1" + "0" * MAX_LITERAL
+        value = literal if as_string else int(literal)
+        path = variant(lambda doc: doc["phi"][0].__setitem__(0, value))
+        assert run(["verify", path] + self.IMEX) == cli.EXIT_INPUT
+        assert f"longer than {MAX_LITERAL} characters" in capsys.readouterr().err
+
+    def test_literal_at_the_bound_parses(self, variant, capsys):
+        path = variant(lambda doc: doc["omega"][0].__setitem__(1, "0" * MAX_LITERAL))
+        assert run(["verify", path, "--checks", "symplectic"] + self.IMEX) == cli.EXIT_OK
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (f"1e{MAX_LITERAL + 1}", "decimal exponent beyond"),
+            (f"1e-{MAX_LITERAL + 1}", "decimal exponent beyond"),
+            ("1" * (MAX_LITERAL + 1), "characters"),
+        ],
+        ids=["exponent", "negative-exponent", "length"],
+    )
+    def test_oversized_binding_is_an_input_error(self, fixture_file, capsys, value, message):
+        code = run(["verify", fixture_file("twist2_tilde"), "-p", f"B={value}"])
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert run(["classify2", "--twist", "tilde", "--B", value]) == cli.EXIT_INPUT
 
     def test_unwritable_json_path_fails_before_checks(self, fixture_file, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "report.json"

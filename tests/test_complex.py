@@ -6,6 +6,7 @@ import pytest
 from homlie import catalog
 from homlie.complexstruct import (
     ComplexStructureCandidate,
+    _realified_bracket,
     check_almost_complex,
     check_hermitian_compatibility,
     check_integrability_equivalence,
@@ -13,8 +14,6 @@ from homlie.complexstruct import (
     complexify_and_split,
     induced_symplectic,
     nijenhuis_tensor,
-    projector_01,
-    projector_10,
 )
 from homlie.errors import (
     InvalidStructureError,
@@ -22,16 +21,16 @@ from homlie.errors import (
     OddDimensionError,
 )
 from homlie.linalg import (
-    GaussianRational,
     Matrix,
     Tensor3,
+    direct_sum,
     in_span,
-    to_gaussian_vec,
+    vec_neg,
 )
 from homlie.metric import MetricForm, check_symplectic, levi_civita_product
 from homlie.structures import check_subalgebra
 
-from conftest import imex_block_j
+from conftest import imex_block_j, rand_tensor, realified_bracket, realify
 
 ROT2 = Matrix([[0, -1], [1, 0]])
 
@@ -124,9 +123,8 @@ class TestComplexSplit:
     def test_dim2_rotation(self):
         split = complexify_and_split(Tensor3.zeros(2), Matrix.identity(2), ROT2)
         assert split.rank == 1
-        assert split.basis10 == (
-            (GaussianRational(1), GaussianRational(0, -1)),
-        )
+        assert split.basis10 == (((1, 0), (0, -1)),)
+        assert split.basis01 == (((1, 0), (0, 1)),)
 
     def test_kahler_fixture_rank(self):
         inst = catalog.kahler4(1, 1, 1)
@@ -134,46 +132,42 @@ class TestComplexSplit:
         assert split.rank == 2
 
     def test_eigenvector_property(self):
+        # (phi J)(a + ib) = +-i (a + ib) reads (phi J) a = -+b, (phi J) b = +-a
         inst = catalog.kahler4(1, 1, 1)
         split = complexify_and_split(inst.bracket, inst.phi, inst.j)
-        pj = (inst.phi @ inst.j).to_gaussian()
-        i_unit = GaussianRational(0, 1)
-        for w in split.basis10:
-            assert pj.apply(w) == tuple(i_unit * x for x in w)
-        for w in split.basis01:
-            assert pj.apply(w) == tuple(-i_unit * x for x in w)
+        pj = inst.phi @ inst.j
+        for a, b in split.basis10:
+            assert pj.apply(a) == vec_neg(b) and pj.apply(b) == a
+        for a, b in split.basis01:
+            assert pj.apply(a) == b and pj.apply(b) == vec_neg(a)
 
     def test_conjugation_swaps_the_spaces(self):
         inst = catalog.kahler4(2, 3, 1)
         split = complexify_and_split(inst.bracket, inst.phi, inst.j)
-        for w in split.basis10:
-            conj = tuple(z.conjugate() for z in w)
-            assert in_span([to_gaussian_vec(v) for v in split.basis01], conj)
-
-    def test_projectors(self):
-        inst = catalog.kahler4(1, 1, 1)
-        p10 = projector_10(inst.phi, inst.j)
-        p01 = projector_01(inst.phi, inst.j)
-        ident = Matrix.identity(4).to_gaussian()
-        assert p10 + p01 == ident
-        pj = (inst.phi @ inst.j).to_gaussian()
-        i_unit = GaussianRational(0, 1)
-        assert pj @ p10 == p10 * i_unit
+        for here, there in ((split.basis10, split.basis01), (split.basis01, split.basis10)):
+            span = realify(there)
+            for a, b in here:
+                assert in_span(span, a + vec_neg(b))
 
     def test_eigenbasis_spans_subalgebra_for_integrable_fixture(self):
         inst = catalog.kahler4(1, 1, 1)
         split = complexify_and_split(inst.bracket, inst.phi, inst.j)
         assert (
             check_subalgebra(
-                inst.bracket,
-                inst.phi.to_gaussian(),
-                [to_gaussian_vec(v) for v in split.basis10],
+                realified_bracket(inst.bracket),
+                direct_sum(inst.phi, inst.phi),
+                realify(split.basis10),
             )
             is True
         )
 
 
 class TestIntegrabilityEquivalence:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_realified_bracket_matches_an_entrywise_build(self, n):
+        c = rand_tensor(random.Random(n), n)
+        assert _realified_bracket(c) == realified_bracket(c)
+
     def test_kahler_fixture_all_true(self):
         inst = catalog.kahler4(1, 1, 1)
         rep = check_integrability_equivalence(inst.bracket, inst.phi, inst.j)

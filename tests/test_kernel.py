@@ -26,7 +26,7 @@ from conftest import (
 from homlie import catalog
 from homlie.complexstruct import nijenhuis_tensor
 from homlie.dim2 import canonical_bracket_2d
-from homlie.errors import HomLieError, InvalidStructureError
+from homlie.errors import HomLieError
 from homlie.linalg import Matrix, Tensor3, matrix_inverse
 from homlie.metric import (
     MetricForm,
@@ -209,16 +209,6 @@ def test_random_inputs_agree(seed):
         compare_all(p, twist, omega, j)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_real_gaussian_twist_agrees(seed):
-    rng = random.Random(f"kernel-gauss:{seed}")
-    n = 3
-    p = rand_sparse_tensor(rng, n, 0.5)
-    phi = rand_twist(rng, n)
-    for fn in (check_morphism, check_hom_left_symmetric):
-        agree(fn, p, phi.to_gaussian())
-
-
 @pytest.mark.parametrize("seed", range(3))
 def test_basis_changed_imex_agrees(seed):
     """Fractional twists and forms: the imex structure in a random basis."""
@@ -249,14 +239,6 @@ def test_stretched_adjoint_family_agrees(t):
     assert check_representation(rep) is True
     agree(check_admissible, rep)
     agree(check_representation, rep_of(perturb_matrix(phi, rng), rep.rho, c, phi))
-
-
-def test_gaussian_twist_with_imaginary_part_is_rejected():
-    from homlie.linalg import GaussianRational
-
-    phi = Matrix([[GaussianRational(0, 1), 0], [0, 1]])
-    with pytest.raises(InvalidStructureError):
-        check_morphism(Tensor3.zeros(2), phi)
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlie.errors import DimensionMismatchError, SingularMatrixError
+from homlie.phase_space import canonical_double_omega
 from homlie.linalg import (
     NO_SOLUTION,
     NON_UNIQUE,
     UNIQUE,
-    GaussianRational,
     Matrix,
     Tensor3,
     basis_vec,
     determinant,
+    direct_sum,
     in_span,
     independent_subset,
     matrix_inverse,
@@ -23,10 +24,8 @@ from homlie.linalg import (
     solve_linear,
 )
 
-from conftest import rand_invertible, rand_matrix
-
-fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
-
+from conftest import rand_fraction, rand_invertible, rand_matrix
+from reference import bareiss_determinant
 
 def _cofactor_det(m: Matrix):
     """Independent oracle: recursive cofactor expansion along the first row."""
@@ -124,11 +123,6 @@ class TestDeterminant:
             m1, m2 = rand_matrix(rng, n), rand_matrix(rng, n)
             assert determinant(m1 @ m2) == determinant(m1) * determinant(m2)
 
-    def test_gaussian_entries(self):
-        i = GaussianRational(0, 1)
-        m = Matrix([[i, 0], [0, i]])
-        assert determinant(m) == GaussianRational(-1, 0)
-
 
 class TestInverse:
     def test_identity(self):
@@ -156,47 +150,84 @@ class TestInverse:
             assert inv @ a == Matrix.identity(n)
 
 
-class TestGaussianRational:
-    @given(fractions, fractions)
-    @settings(max_examples=50, deadline=None)
-    def test_conjugation_involution(self, re, im):
-        z = GaussianRational(re, im)
-        assert z.conjugate().conjugate() == z
+def _signed_permutation(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Matrix(
+        [[rng.choice((1, -1)) if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+    )
 
-    @given(fractions, fractions)
-    @settings(max_examples=50, deadline=None)
-    def test_norm_is_real(self, re, im):
-        z = GaussianRational(re, im)
-        w = z * z.conjugate()
-        assert w.im == 0
-        assert w.re == z.norm_square()
 
-    def test_field_operations(self):
-        i = GaussianRational(0, 1)
-        assert i * i == -1
-        assert (1 + i) * (1 - i) == 2
-        assert (GaussianRational(3, 4) / GaussianRational(0, 2)) == GaussianRational(
-            2, Fraction(-3, 2)
-        )
+def _dense_fractional(rng, n, singular=False):
+    rows = [[rand_fraction(rng, -9, 9, 7) for _ in range(n)] for _ in range(n)]
+    if singular:
+        s, t = rand_fraction(rng, nonzero=True), rand_fraction(rng)
+        rows[-1] = [s * x + t * y for x, y in zip(rows[0], rows[1 % (n - 1)])]
+    return Matrix(rows)
 
-    def test_division_roundtrip(self):
-        rng = random.Random(3)
-        for _ in range(25):
-            z = GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
-                                 Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
-            w = GaussianRational(rng.randint(-5, 5), rng.randint(1, 5))
-            assert (z / w) * w == z
 
-    def test_mixed_arithmetic_with_fractions(self):
-        z = GaussianRational(1, 2)
-        assert Fraction(1, 2) * z == GaussianRational(Fraction(1, 2), 1)
-        assert 1 + z == GaussianRational(2, 2)
-        assert z - Fraction(1) == GaussianRational(0, 2)
+def _block(rng, n, kind):
+    """The double's omega or twist, or [[A, C], [0, D]] with fractional blocks."""
+    half = n // 2
+    if kind == "omega":
+        return canonical_double_omega(half).omega
+    if kind == "twist":
+        p = _signed_permutation(rng, half)
+        return direct_sum(p, p.transpose())
+    a, c, d = (rand_matrix(rng, half) for _ in range(3))
+    return Matrix(
+        [list(ra) + list(rc) for ra, rc in zip(a.rows, c.rows)]
+        + [[0] * half + list(rd) for rd in d.rows]
+    )
 
-    def test_str_forms(self):
-        assert str(GaussianRational(Fraction(1, 2))) == "1/2"
-        assert str(GaussianRational(0, -1)) == "-1i"
-        assert str(GaussianRational(1, Fraction(1, 3))) == "1+1/3i"
+
+def _inputs():
+    rng = random.Random(20261019)
+    out = []
+    for n in (1, 2, 3, 4, 6, 8, 12, 16):
+        out.append((f"signed-perm-{n}", _signed_permutation(rng, n)))
+        if n % 2 == 0:
+            out += [(f"{k}-{n}", _block(rng, n, k)) for k in ("omega", "twist", "triangular")]
+        if n <= 8:
+            out.append((f"dense-{n}", _dense_fractional(rng, n)))
+        if 2 <= n <= 8:
+            out.append((f"dense-singular-{n}", _dense_fractional(rng, n, singular=True)))
+    return out
+
+
+INPUTS = _inputs()
+
+
+class TestEliminationAgainstReference:
+    """The Gauss-Jordan views against the Bareiss oracle and their identities."""
+
+    @pytest.mark.parametrize("a", [a for _, a in INPUTS], ids=[k for k, _ in INPUTS])
+    def test_views_agree(self, a):
+        rng = random.Random(repr(a))
+        n = a.nrows
+        det = determinant(a)
+        assert det == bareiss_determinant(a)
+        kernel = null_space(a)
+        assert row_space_rank(a.rows) + len(kernel) == n
+        assert all(not any(a.apply(v)) for v in kernel)
+        assert (det != 0) == (not kernel)
+        x = tuple(rand_fraction(rng, -9, 9, 5) for _ in range(n))
+        sol = solve_linear(a, a.apply(x))
+        if det != 0:
+            inv = matrix_inverse(a)
+            assert a @ inv == Matrix.identity(n) == inv @ a
+            assert determinant(inv) == 1 / det == bareiss_determinant(inv)
+            assert sol.status == UNIQUE and sol.x == x
+        else:
+            with pytest.raises(SingularMatrixError):
+                matrix_inverse(a)
+            assert sol.status == NON_UNIQUE and sol.kernel == kernel[0]
+
+    def test_non_square_kernel(self):
+        a = Matrix([[1, 2, 0, -1], [2, 4, 1, 0], [Fraction(1, 2), 1, 0, Fraction(-1, 2)]])
+        kernel = null_space(a)
+        assert kernel == [(-2, 1, 0, 0), (1, 0, -2, 1)]
+        assert row_space_rank(a.rows) + len(kernel) == 4
 
 
 class TestSpans:
@@ -216,6 +247,13 @@ class TestSpans:
         v1, v2 = (1, 0, 1), (0, 1, 0)
         assert in_span([v1, v2], (2, 3, 2))
         assert not in_span([v1, v2], (1, 0, 0))
+
+    def test_integer_vectors_stay_exact(self):
+        # float division would round 3 * 10**17 + 1 and find one direction
+        a, b = (1, 3), (10**17, 3 * 10**17 + 1)
+        assert row_space_rank([a, b]) == 2
+        assert not in_span([a], b)
+        assert independent_subset([a, b]) == [a, b]
 
     def test_independent_subset_keeps_first(self):
         vs = [(1, 0), (2, 0), (0, 1)]

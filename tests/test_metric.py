@@ -19,8 +19,6 @@ from homlie.metric import (
     check_pseudo_riemannian,
     check_symplectic,
     check_torsion,
-    koszul_residual,
-    levi_civita_by_pair_solves,
     levi_civita_product,
     musical_flat,
     musical_sharp,
@@ -29,6 +27,7 @@ from homlie.metric import (
 from homlie.structures import check_hom_left_symmetric, commutator_bracket
 
 from conftest import rand_involutive_twist, symmetrized_invariant_metric
+from reference import koszul_residual, levi_civita_by_pair_solves
 
 
 def kahler_lc_table(a, b):

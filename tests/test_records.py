@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import homlie
+from homlie import _kernel
 from homlie import (
     BoundInstance,
     HomAlgebra,
@@ -157,6 +158,35 @@ def test_pickle_round_trip(rec):
     assert again == rec and type(again) is type(rec)
     with pytest.raises(AttributeError):
         again.kind = "changed"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Matrix([[Fraction(1, 2), -3], [0, 1]]),
+        lambda: Tensor3.from_table(2, {(1, 2): (Fraction(2, 3), 1)}, antisymmetric=True),
+        small_double,
+    ],
+    ids=["Matrix", "Tensor3", "PhaseSpaceInstance"],
+)
+@pytest.mark.parametrize(
+    "clone",
+    [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_containers_round_trip(build, clone):
+    obj = build()
+    again = clone(obj)
+    assert again == obj and type(again) is type(obj)
+
+
+def test_round_trip_drops_the_lowered_cache():
+    m = Matrix([[0, Fraction(1, 2)], [1, 0]])
+    _kernel.columns(m)
+    again = pickle.loads(pickle.dumps(m))
+    assert hasattr(m, "_lowered") and not hasattr(again, "_lowered")
+    with pytest.raises(AttributeError):
+        again.rows = ()
 
 
 def test_import_generates_no_dataclass_code_and_parses_nothing():
