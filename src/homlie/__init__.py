@@ -66,6 +66,7 @@ from .complexstruct import (
     check_hermitian_compatibility,
     check_integrability_equivalence,
     check_kahler,
+    check_nijenhuis,
     complexify_and_split,
     induced_symplectic,
     nijenhuis_tensor,

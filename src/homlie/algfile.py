@@ -64,6 +64,10 @@ class BindingDivisionByZero(HomLieError):
     pass
 
 
+class BindingOverflowError(HomLieError):
+    """A value computed while binding has too many digits."""
+
+
 # ---------------------------------------------------------------------------
 # expression parsing
 # ---------------------------------------------------------------------------
@@ -76,6 +80,9 @@ MAX_NESTING = 100
 # A literal's value then has at most 2 * MAX_LITERAL digits, far below the
 # 4,300-digit limit some interpreters put on int/str conversion.
 MAX_LITERAL = 1000
+# Bound on the numerator and denominator of every value met while binding.
+# Checked at each operation, it also bounds the work of evaluating an entry.
+_MAX_VALUE = 10 ** (2 * MAX_LITERAL)
 _BINARY = ("add", "sub", "mul", "div")
 _EXPONENT = re.compile(r"[eE]([-+]?\d(?:_?\d)*)\s*\Z")
 
@@ -231,7 +238,7 @@ class ParamExpr:
         if kind == "num":
             return node[1]
         if kind == "param":
-            return bindings[node[1]]
+            return self._bounded(bindings[node[1]])
         if kind == "neg":
             return -self._eval(node[1], bindings)
         # A chain such as 1+1+...+1 is a left-deep tree as deep as it has
@@ -256,6 +263,15 @@ class ParamExpr:
                 )
             else:
                 value = value / right
+            self._bounded(value)
+        return value
+
+    def _bounded(self, value):
+        if abs(value.numerator) >= _MAX_VALUE or value.denominator >= _MAX_VALUE:
+            raise BindingOverflowError(
+                f"value with more than {2 * MAX_LITERAL} digits while binding "
+                f"{self.source[:60]!r}{'...' * (len(self.source) > 60)}"
+            )
         return value
 
 

@@ -5,9 +5,9 @@
     homlie classify2 (--twist hat|bar|tilde [--B VALUE] | --proper) [--json OUT]
 
 Exit status: 0 when every requested verdict passes, 1 when any fails,
-2 on input errors.  Reports go to stdout as text; --json additionally
-writes the machine-readable report.  Set HOMLIE_COLOR=0 to disable
-ANSI colors.
+2 on input errors, 3 on an unexpected internal error.  Reports go to
+stdout as text; --json additionally writes the machine-readable report.
+Set HOMLIE_COLOR=0 to disable ANSI colors.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from .complexstruct import (
     check_hermitian_compatibility,
     check_integrability_equivalence,
     check_kahler,
+    check_nijenhuis,
     complexify_and_split,
     induced_symplectic,
-    nijenhuis_tensor,
 )
 from .dim2 import (
     SolutionFamily,
@@ -73,6 +73,7 @@ from .structures import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 class InputError(Exception):
@@ -138,13 +139,9 @@ class Report:
 
     def record(self, name: str, result):
         """Store True/Violation-style results under the check name."""
-        if result is True or result is None:
-            self.verdicts[name] = "pass"
-        elif isinstance(result, Violation):
-            self.verdicts[name] = "fail"
+        self.verdicts[name] = "pass" if result or result is None else "fail"
+        if isinstance(result, Violation):
             self.counterexamples.append(_violation_json(name, result))
-        else:
-            self.verdicts[name] = "pass" if result else "fail"
 
     def record_error(self, name: str, exc: Exception):
         self.verdicts[name] = "fail"
@@ -203,146 +200,30 @@ def _render_text(report: Report) -> str:
 
 
 # ---------------------------------------------------------------------------
-# verify
+# verify and build
 # ---------------------------------------------------------------------------
 
-def _need(inst: BoundInstance, attr: str, check: str):
-    value = getattr(inst, attr)
-    if value is None:
-        raise InputError(f"check {check!r} needs the instance to carry {attr!r}")
-    return value
+def _need(inst: BoundInstance, name: str, fields):
+    for field in fields:
+        if getattr(inst, field) is None:
+            raise InputError(f"check {name!r} needs the instance to carry {field!r}")
 
-
-def _run_check(name: str, inst: BoundInstance):
-    if name == "antisymmetry":
-        return check_antisymmetry(_need(inst, "bracket", name))
-    if name == "morphism":
-        return check_morphism(_need(inst, "bracket", name), inst.phi)
-    if name == "product-morphism":
-        return check_morphism(_need(inst, "product", name), inst.phi)
-    if name == "hom-jacobi":
-        return check_hom_jacobi(_need(inst, "bracket", name), inst.phi)
-    if name == "jacobi":
-        return check_hom_jacobi(
-            _need(inst, "bracket", name), Matrix.identity(inst.dimension)
-        )
-    if name == "hom-left-symmetric":
-        return check_hom_left_symmetric(_need(inst, "product", name), inst.phi)
-    if name == "lie-admissible":
-        return check_hom_lie_admissible(_need(inst, "product", name), inst.phi)
-    if name == "bianchi":
-        tensor = inst.product if inst.product is not None else inst.bracket
-        if tensor is None:
-            raise InputError("check 'bianchi' needs a product or bracket")
-        return check_hom_bianchi(tensor, inst.phi)
-    if name == "pseudo-riemannian":
-        return check_pseudo_riemannian(
-            MetricForm(_need(inst, "metric", name)), inst.phi
-        )
-    if name == "phi-selfadjoint":
-        return check_phi_selfadjoint(
-            MetricForm(_need(inst, "metric", name)), inst.phi
-        )
-    if name == "symplectic":
-        return check_symplectic(
-            SymplecticForm(_need(inst, "omega", name)),
-            _need(inst, "bracket", name),
-            inst.phi,
-        )
-    if name == "almost-complex":
-        return check_almost_complex(_need(inst, "j", name), inst.phi)
-    if name == "nijenhuis":
-        nt = nijenhuis_tensor(
-            _need(inst, "bracket", name), inst.phi, _need(inst, "j", name)
-        )
-        if nt.is_zero():
-            return True
-        table = nt.tensor.nonzero_table()
-        (i, j), col = sorted(table.items())[0]
-        return Violation("nijenhuis", (i, j), col, (Fraction(0),) * inst.dimension)
-    if name == "hermitian":
-        return check_hermitian_compatibility(
-            _need(inst, "j", name), MetricForm(_need(inst, "metric", name)), inst.phi
-        )
-    if name == "kahler":
-        product = levi_civita_product(
-            _need(inst, "bracket", name),
-            inst.phi,
-            MetricForm(_need(inst, "metric", name)),
-        ).product
-        return check_kahler(product, inst.phi, _need(inst, "j", name))
-    if name == "integrability":
-        rep = check_integrability_equivalence(
-            _need(inst, "bracket", name), inst.phi, _need(inst, "j", name)
-        )
-        return rep.consistent
-    raise InputError(f"unknown check {name!r}")
-
-
-def _default_checks(inst: BoundInstance) -> list:
-    checks = []
-    if inst.bracket is not None:
-        checks += ["antisymmetry", "morphism", "hom-jacobi"]
-    if inst.product is not None:
-        checks += ["product-morphism", "hom-left-symmetric", "lie-admissible"]
-    if inst.metric is not None:
-        checks.append("pseudo-riemannian")
-        if inst.phi @ inst.phi == Matrix.identity(inst.dimension):
-            checks.append("phi-selfadjoint")
-    if inst.omega is not None and inst.bracket is not None:
-        checks.append("symplectic")
-    if inst.j is not None:
-        checks.append("almost-complex")
-        if inst.bracket is not None:
-            checks.append("nijenhuis")
-        if inst.metric is not None:
-            checks.append("hermitian")
-            if inst.bracket is not None:
-                checks.append("kahler")
-    return checks
-
-
-def cmd_verify(args) -> int:
-    inst, report = _load_and_bind(args)
-    names = (
-        [c.strip() for c in args.checks.split(",") if c.strip()]
-        if args.checks
-        else _default_checks(inst)
-    )
-    if not names:
-        raise InputError("no checks requested and none applicable")
-    for name in names:
-        try:
-            report.record(name, _run_check(name, inst))
-        except InputError:
-            raise
-        except HomLieError as exc:
-            report.record_error(name, exc)
-    return _emit(report, args)
-
-
-# ---------------------------------------------------------------------------
-# build
-# ---------------------------------------------------------------------------
 
 def _build_levi_civita(inst: BoundInstance, report: Report):
-    bracket = _need(inst, "bracket", "levi-civita")
-    metric = MetricForm(_need(inst, "metric", "levi-civita"))
-    product = levi_civita_product(bracket, inst.phi, metric).product
+    metric = MetricForm(inst.metric)
+    product = levi_civita_product(inst.bracket, inst.phi, metric).product
     report.derived["levi-civita"] = {"product": _tensor_json(product)}
-    report.record("torsion", check_torsion(product, bracket))
+    report.record("torsion", check_torsion(product, inst.bracket))
     report.record(
         "metric-compatibility", check_metric_compatibility(product, metric, inst.phi)
     )
 
 
 def _build_left_symmetric(inst: BoundInstance, report: Report):
-    bracket = _need(inst, "bracket", "left-symmetric")
-    omega = SymplecticForm(_need(inst, "omega", "left-symmetric"))
-    product = symplectic_left_symmetric(omega, bracket, inst.phi)
+    product = symplectic_left_symmetric(SymplecticForm(inst.omega), inst.bracket, inst.phi)
     report.derived["left-symmetric"] = {"product": _tensor_json(product)}
     report.record("hom-left-symmetric", check_hom_left_symmetric(product, inst.phi))
-    report.record("torsion", check_torsion(product, bracket))
+    report.record("torsion", check_torsion(product, inst.bracket))
 
 
 def _base_product_for_phase_space(inst: BoundInstance) -> Tensor3:
@@ -385,8 +266,7 @@ def _build_phase_space(inst: BoundInstance, report: Report):
 
 
 def _build_complexify(inst: BoundInstance, report: Report):
-    bracket = _need(inst, "bracket", "complexify")
-    j = _need(inst, "j", "complexify")
+    bracket, j = inst.bracket, inst.j
     report.record("almost-complex", check_almost_complex(j, inst.phi))
     split = complexify_and_split(bracket, inst.phi, j)
     report.derived["complexify"] = {
@@ -404,8 +284,7 @@ def _build_complexify(inst: BoundInstance, report: Report):
 
 
 def _build_induced_omega(inst: BoundInstance, report: Report):
-    metric = MetricForm(_need(inst, "metric", "induced-omega"))
-    j = _need(inst, "j", "induced-omega")
+    metric, j = MetricForm(inst.metric), inst.j
     report.record(
         "hermitian", check_hermitian_compatibility(j, metric, inst.phi)
     )
@@ -415,26 +294,105 @@ def _build_induced_omega(inst: BoundInstance, report: Report):
         report.record("symplectic", check_symplectic(omega, inst.bracket, inst.phi))
 
 
+# name: (the instance fields it needs, the builder)
 BUILD_TARGETS = {
-    "levi-civita": _build_levi_civita,
-    "left-symmetric": _build_left_symmetric,
-    "phase-space": _build_phase_space,
-    "complexify": _build_complexify,
-    "induced-omega": _build_induced_omega,
+    "levi-civita": (("bracket", "metric"), _build_levi_civita),
+    "left-symmetric": (("bracket", "omega"), _build_left_symmetric),
+    "phase-space": ((), _build_phase_space),
+    "complexify": (("bracket", "j"), _build_complexify),
+    "induced-omega": (("metric", "j"), _build_induced_omega),
 }
+
+
+def _bianchi(inst: BoundInstance):
+    tensor = inst.product if inst.product is not None else inst.bracket
+    if tensor is None:
+        raise InputError("check 'bianchi' needs a product or bracket")
+    return check_hom_bianchi(tensor, inst.phi)
+
+
+# name: (the instance fields it needs, whether it runs without --checks, the call).
+# The middle item is True, False or a further condition on the instance ``i``.
+# Listed in the order the default checks run.
+CHECKS = {
+    "antisymmetry": (("bracket",), True, lambda i: check_antisymmetry(i.bracket)),
+    "morphism": (("bracket",), True, lambda i: check_morphism(i.bracket, i.phi)),
+    "hom-jacobi": (("bracket",), True, lambda i: check_hom_jacobi(i.bracket, i.phi)),
+    "jacobi": (
+        ("bracket",), False, lambda i: check_hom_jacobi(i.bracket, Matrix.identity(i.dimension))
+    ),
+    "product-morphism": (("product",), True, lambda i: check_morphism(i.product, i.phi)),
+    "hom-left-symmetric": (
+        ("product",), True, lambda i: check_hom_left_symmetric(i.product, i.phi)
+    ),
+    "lie-admissible": (("product",), True, lambda i: check_hom_lie_admissible(i.product, i.phi)),
+    "bianchi": ((), False, _bianchi),
+    "pseudo-riemannian": (
+        ("metric",), True, lambda i: check_pseudo_riemannian(MetricForm(i.metric), i.phi)
+    ),
+    "phi-selfadjoint": (
+        ("metric",),
+        lambda i: i.phi @ i.phi == Matrix.identity(i.dimension),
+        lambda i: check_phi_selfadjoint(MetricForm(i.metric), i.phi),
+    ),
+    "symplectic": (
+        ("omega", "bracket"),
+        True,
+        lambda i: check_symplectic(SymplecticForm(i.omega), i.bracket, i.phi),
+    ),
+    "almost-complex": (("j",), True, lambda i: check_almost_complex(i.j, i.phi)),
+    "nijenhuis": (("bracket", "j"), True, lambda i: check_nijenhuis(i.bracket, i.phi, i.j)),
+    "hermitian": (
+        ("j", "metric"),
+        True,
+        lambda i: check_hermitian_compatibility(i.j, MetricForm(i.metric), i.phi),
+    ),
+    "kahler": (
+        ("bracket", "metric", "j"),
+        True,
+        lambda i: check_kahler(
+            levi_civita_product(i.bracket, i.phi, MetricForm(i.metric)).product, i.phi, i.j
+        ),
+    ),
+    "integrability": (
+        ("bracket", "j"),
+        False,
+        lambda i: check_integrability_equivalence(i.bracket, i.phi, i.j).consistent,
+    ),
+}
+
+
+def cmd_verify(args) -> int:
+    inst, report = _load_and_bind(args)
+    if args.checks:
+        names = list(dict.fromkeys(c.strip() for c in args.checks.split(",") if c.strip()))
+        for name in names:
+            if name not in CHECKS:
+                raise InputError(f"unknown check {name!r}")
+        for name in names:
+            _need(inst, name, CHECKS[name][0])
+    else:
+        names = [
+            name for name, (needs, default, _) in CHECKS.items()
+            if default and all(getattr(inst, f) is not None for f in needs)
+            and (default is True or default(inst))
+        ]
+    if not names:
+        raise InputError("no checks requested and none applicable")
+    for name in names:
+        try:
+            report.record(name, CHECKS[name][2](inst))
+        except HomLieError as exc:
+            report.record_error(name, exc)
+    return _emit(report, args)
 
 
 def cmd_build(args) -> int:
     inst, report = _load_and_bind(args)
-    builder = BUILD_TARGETS.get(args.target)
-    if builder is None:
-        raise InputError(
-            f"unknown target {args.target!r}; choose from {sorted(BUILD_TARGETS)}"
-        )
+    needs, builder = BUILD_TARGETS[args.target]
+    _need(inst, args.target, needs)
     try:
         builder(inst, report)
-    except InputError:
-        raise
     except HomLieError as exc:
         report.record_error(args.target, exc)
     return _emit(report, args)
@@ -601,6 +559,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ Nothing here ever needs real closure.
 
 from __future__ import annotations
 
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 from . import _kernel
 from ._record import record
@@ -34,7 +35,7 @@ from .linalg import (
     vec_neg,
 )
 from .metric import MetricForm, SymplecticForm, check_pseudo_riemannian
-from .structures import Violation, check_subalgebra
+from .structures import Violation, _entry_witness, check_subalgebra
 
 
 def check_almost_complex(j: Matrix, phi: Matrix):
@@ -50,23 +51,20 @@ def check_almost_complex(j: Matrix, phi: Matrix):
         )
     if phi @ phi != Matrix.identity(n):
         raise NonInvolutiveTwistError("almost complex structures need phi^2 = Id")
-    jj = j @ j
-    minus_id = -Matrix.identity(n)
-    for i in range(n):
-        for k in range(n):
-            if jj[i, k] != minus_id[i, k]:
-                return Violation(
-                    "almost-complex-square", (i + 1, k + 1), (jj[i, k],), (minus_id[i, k],)
-                )
-    lhs = phi @ j
-    rhs = j @ phi
-    for i in range(n):
-        for k in range(n):
-            if lhs[i, k] != rhs[i, k]:
-                return Violation(
-                    "almost-complex-commute", (i + 1, k + 1), (lhs[i, k],), (rhs[i, k],)
-                )
-    return True
+    square = _entry_witness("almost-complex-square", j @ j, -Matrix.identity(n))
+    if not square:
+        return square
+    return _entry_witness("almost-complex-commute", phi @ j, j @ phi)
+
+
+def _require_almost_complex(j, phi, c=None, message="J is not an almost complex structure"):
+    """Raise unless J is almost complex over phi and, given a bracket c, of its
+    dimension; with ``message=None`` the error describes the violation."""
+    result = check_almost_complex(j, phi)
+    if not result:
+        raise InvalidStructureError(message or result.describe(), result)
+    if c is not None and c.dim != j.nrows:
+        raise InvalidStructureError("bracket and J dimensions differ")
 
 
 @record
@@ -77,9 +75,7 @@ class ComplexStructureCandidate:
     twist: Matrix
 
     def __post_init__(self):
-        result = check_almost_complex(self.j, self.twist)
-        if not result:
-            raise InvalidStructureError(result.describe(), result)
+        _require_almost_complex(self.j, self.twist, message=None)
 
     @property
     def composite(self) -> Matrix:
@@ -97,17 +93,9 @@ class NijenhuisTensor:
         return self.tensor.is_zero()
 
 
-def _require_almost_complex(c: Tensor3, phi: Matrix, j: Matrix):
-    result = check_almost_complex(j, phi)
-    if not result:
-        raise InvalidStructureError("J is not an almost complex structure", result)
-    if c.dim != j.nrows:
-        raise InvalidStructureError("bracket and J dimensions differ")
-
-
 def nijenhuis_tensor(c: Tensor3, phi: Matrix, j: Matrix) -> NijenhuisTensor:
     """N(e_i, e_j) for all basis pairs, packed as a rank-3 tensor."""
-    _require_almost_complex(c, phi, j)
+    _require_almost_complex(j, phi, c)
     n = c.dim
     planes = [[[0] * n for _ in range(n)] for _ in range(n)]
     for a, b, val in _kernel.nijenhuis(c, phi @ j, product(range(n), repeat=2)):
@@ -116,28 +104,28 @@ def nijenhuis_tensor(c: Tensor3, phi: Matrix, j: Matrix) -> NijenhuisTensor:
     return NijenhuisTensor(Tensor3(planes))
 
 
+def check_nijenhuis(c: Tensor3, phi: Matrix, j: Matrix):
+    """Vanishing torsion of phi o J on all basis pairs a < b; the torsion of an
+    antisymmetric bracket is antisymmetric, so none is missed."""
+    _require_almost_complex(j, phi, c)
+    n = c.dim
+    for a, b, val in _kernel.nijenhuis(c, phi @ j, combinations(range(n), 2)):
+        return Violation("nijenhuis", (a + 1, b + 1), val, (Fraction(0),) * n)
+    return True
+
+
 def check_hermitian_compatibility(j: Matrix, g: MetricForm, phi: Matrix):
     """<(phi J)u, (phi J)v> = <u, v> on all basis pairs.
 
     Preconditions (almost complex J, twist-invariant metric) are
     re-checked and raised as errors, matching how the verdict is used.
     """
-    ac = check_almost_complex(j, phi)
-    if not ac:
-        raise InvalidStructureError("J is not an almost complex structure", ac)
+    _require_almost_complex(j, phi)
     pr = check_pseudo_riemannian(g, phi)
     if not pr:
         raise InvalidStructureError("metric is not twist invariant", pr)
     pj = phi @ j
-    pulled = pj.transpose() @ g.gram @ pj
-    n = g.dim
-    for i in range(n):
-        for k in range(i, n):
-            if pulled[i, k] != g.gram[i, k]:
-                return Violation(
-                    "hermitian", (i + 1, k + 1), (pulled[i, k],), (g.gram[i, k],)
-                )
-    return True
+    return _entry_witness("hermitian", pj.transpose() @ g.gram @ pj, g.gram, upper=True)
 
 
 @record
@@ -170,7 +158,7 @@ def complexify_and_split(c: Tensor3, phi: Matrix, j: Matrix) -> ComplexSplit:
     realification of those kept before it, which is twice their complex
     rank; so the earliest independent candidates are kept, reproducibly.
     """
-    _require_almost_complex(c, phi, j)
+    _require_almost_complex(j, phi, c)
     n = c.dim
     pj = phi @ j
     kept = []
@@ -223,7 +211,7 @@ def check_integrability_equivalence(
     real_c, real_phi = _realified_bracket(c), direct_sum(phi, phi)
     sub10 = check_subalgebra(real_c, real_phi, _realify(split.basis10))
     sub01 = check_subalgebra(real_c, real_phi, _realify(split.basis01))
-    nz = nijenhuis_tensor(c, phi, j).is_zero()
+    nz = check_nijenhuis(c, phi, j) is True
     return IntegrabilityReport(
         subalgebra_10=bool(sub10), subalgebra_01=bool(sub01), nijenhuis_zero=nz
     )
@@ -236,24 +224,13 @@ def check_kahler(p: Tensor3, phi: Matrix, j: Matrix):
     (torsion and compatibility verified by the caller); this check then
     decides invariance.
     """
-    ac = check_almost_complex(j, phi)
-    if not ac:
-        raise InvalidStructureError("J is not an almost complex structure", ac)
+    _require_almost_complex(j, phi)
     pj = phi @ j
-    n = p.dim
-    for i in range(n):
+    for i in range(p.dim):
         left = p.left_mult_basis(i)
-        lhs = left @ pj
-        rhs = pj @ left
-        for a in range(n):
-            for b in range(n):
-                if lhs[a, b] != rhs[a, b]:
-                    return Violation(
-                        "kahler-invariance",
-                        (i + 1, a + 1, b + 1),
-                        (lhs[a, b],),
-                        (rhs[a, b],),
-                    )
+        bad = _entry_witness("kahler-invariance", left @ pj, pj @ left, prefix=(i + 1,))
+        if not bad:
+            return bad
     return True
 
 

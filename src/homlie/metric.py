@@ -31,7 +31,12 @@ from .linalg import (
     determinant,
     matrix_inverse,
 )
-from .structures import Violation, check_antisymmetry, commutator_bracket
+from .structures import (
+    Violation,
+    _entry_witness,
+    _require_antisymmetric,
+    commutator_bracket,
+)
 
 
 @record
@@ -81,18 +86,9 @@ class SymplecticForm:
 
 def check_pseudo_riemannian(g: MetricForm, phi: Matrix):
     """Twist invariance <phi u, phi v> = <u, v> on all basis pairs."""
-    n = g.dim
-    lhs_m = phi.transpose() @ g.gram @ phi
-    for i in range(n):
-        for j in range(i, n):
-            if lhs_m[i, j] != g.gram[i, j]:
-                return Violation(
-                    "pseudo-riemannian",
-                    (i + 1, j + 1),
-                    (lhs_m[i, j],),
-                    (g.gram[i, j],),
-                )
-    return True
+    return _entry_witness(
+        "pseudo-riemannian", phi.transpose() @ g.gram @ phi, g.gram, upper=True
+    )
 
 
 def check_phi_selfadjoint(g: MetricForm, phi: Matrix):
@@ -102,16 +98,7 @@ def check_phi_selfadjoint(g: MetricForm, phi: Matrix):
     """
     if phi @ phi != Matrix.identity(phi.nrows):
         raise NonInvolutiveTwistError("selfadjointness test requires phi^2 = Id")
-    lhs = g.gram @ phi
-    rhs = phi.transpose() @ g.gram
-    n = g.dim
-    for i in range(n):
-        for j in range(n):
-            if lhs[i, j] != rhs[i, j]:
-                return Violation(
-                    "phi-selfadjoint", (i + 1, j + 1), (lhs[i, j],), (rhs[i, j],)
-                )
-    return True
+    return _entry_witness("phi-selfadjoint", g.gram @ phi, phi.transpose() @ g.gram)
 
 
 @record
@@ -210,9 +197,7 @@ def check_symplectic(omega: SymplecticForm, c: Tensor3, phi: Matrix):
     omega([u,v], phi w) + omega([w,u], phi v) + omega([v,w], phi u) = 0
     and omega(phi u, phi v) = omega(u, v).
     """
-    anti = check_antisymmetry(c)
-    if not anti:
-        raise InvalidStructureError("bracket is not antisymmetric", anti)
+    _require_antisymmetric(c)
     if determinant(phi) == 0:
         raise SingularTwistError("symplectic structures require a regular twist")
     if omega.dim != c.dim or phi.nrows != c.dim:

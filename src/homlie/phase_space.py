@@ -147,6 +147,16 @@ def adjoint_rep(g: HomLieAlgebra) -> Representation:
     )
 
 
+def _require_left_symmetric(p: Tensor3, phi: Matrix):
+    """Raise unless p is hom-left-symmetric and phi is a morphism of it."""
+    ls = check_hom_left_symmetric(p, phi)
+    if not ls:
+        raise NotLeftSymmetricError(ls.describe())
+    mor = check_morphism(p, phi)
+    if not mor:
+        raise InvalidStructureError("twist is not a product morphism", mor)
+
+
 def left_mult_rep(p: Tensor3, phi: Matrix, check: bool = True) -> Representation:
     """rho(e_i) = left multiplication by e_i of a left-symmetric product.
 
@@ -154,12 +164,7 @@ def left_mult_rep(p: Tensor3, phi: Matrix, check: bool = True) -> Representation
     the left-symmetry and morphism preconditions are enforced.
     """
     if check:
-        ls = check_hom_left_symmetric(p, phi)
-        if not ls:
-            raise NotLeftSymmetricError(ls.describe())
-        mor = check_morphism(p, phi)
-        if not mor:
-            raise InvalidStructureError("twist is not a product morphism", mor)
+        _require_left_symmetric(p, phi)
     n = p.dim
     return Representation(
         a_map=phi,
@@ -295,12 +300,7 @@ def build_phase_space(
     if phi @ phi != Matrix.identity(n):
         raise NonInvolutiveTwistError("phase space needs an involutive twist")
     if check_base:
-        ls = check_hom_left_symmetric(p, phi)
-        if not ls:
-            raise NotLeftSymmetricError(ls.describe())
-        mor = check_morphism(p, phi)
-        if not mor:
-            raise InvalidStructureError("twist is not a product morphism", mor)
+        _require_left_symmetric(p, phi)
     if metric is None:
         metric = MetricForm(Matrix.identity(n))
     sa = check_phi_selfadjoint(metric, phi)

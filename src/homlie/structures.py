@@ -64,6 +64,16 @@ def _require_dims(t: Tensor3, phi: Matrix):
         )
 
 
+def _entry_witness(kind: str, lhs: Matrix, rhs: Matrix, upper=False, prefix=()):
+    """True, or the first entry (i, k) in row-major order, k >= i only if ``upper``,
+    where lhs and rhs differ: witness ``prefix + (i + 1, k + 1)``, the entries as sides."""
+    for i, (lrow, rrow) in enumerate(zip(lhs.rows, rhs.rows)):
+        for k in range(i if upper else 0, len(lrow)):
+            if lrow[k] != rrow[k]:
+                return Violation(kind, prefix + (i + 1, k + 1), (lrow[k],), (rrow[k],))
+    return True
+
+
 def check_antisymmetry(c: Tensor3):
     """Entrywise c[k][i][j] = -c[k][j][i]."""
     bad = _kernel.first_asymmetric(c)
@@ -73,6 +83,12 @@ def check_antisymmetry(c: Tensor3):
     lhs = c.basis_product(i, j)
     rhs = tuple(-x for x in c.basis_product(j, i))
     return Violation("antisymmetry", (i + 1, j + 1), lhs, rhs)
+
+
+def _require_antisymmetric(c: Tensor3):
+    anti = check_antisymmetry(c)
+    if not anti:
+        raise InvalidStructureError("bracket is not antisymmetric", anti)
 
 
 def commutator_bracket(p: Tensor3) -> Tensor3:
@@ -117,9 +133,7 @@ def hom_jacobi_defect(c: Tensor3, phi: Matrix, i: int, j: int, k: int) -> tuple:
 def check_hom_jacobi(c: Tensor3, phi: Matrix):
     """Twisted Jacobi identity over all basis triples i < j < k."""
     _require_dims(c, phi)
-    anti = check_antisymmetry(c)
-    if not anti:
-        raise InvalidStructureError("bracket is not antisymmetric", anti)
+    _require_antisymmetric(c)
     bad = _kernel.first_hom_jacobi_defect(c, phi)
     if bad is None:
         return True

@@ -7,8 +7,11 @@ are kept verbatim, and the tests require equal verdicts and equal
 ``Violation`` contents (kind, witness, lhs, rhs).  The fraction-free
 determinant is the one the library used before its eliminations were
 merged into one Gauss-Jordan sweep, and the two Koszul routines are
-independent oracles of ``levi_civita_product``.  Nothing in ``src``
-imports this module.
+independent oracles of ``levi_civita_product``.  The entrywise matrix
+checkers are the loops the library used before they shared one
+first-differing-entry helper, and ``nijenhuis_witness`` is the way the
+command line used to turn the full torsion tensor into a witness.
+Nothing in ``src`` imports this module.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from homlie.errors import (
     DimensionMismatchError,
     InvalidStructureError,
     NonInvolutiveTwistError,
+    OddDimensionError,
     SingularTwistError,
 )
 from homlie.linalg import (
@@ -212,7 +216,7 @@ def check_admissible(rep):
 
 def nijenhuis_tensor(c: Tensor3, phi: Matrix, j: Matrix) -> NijenhuisTensor:
     """N(e_i, e_j) for all basis pairs, packed as a rank-3 tensor."""
-    _require_almost_complex(c, phi, j)
+    _require_almost_complex(j, phi, c)
     g = phi @ j
     n = c.dim
     planes = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
@@ -330,3 +334,116 @@ def koszul_residual(
     """
     lhs = 2 * g.inner(p.basis_product(i, j), phi.column(k))
     return lhs - _koszul_rhs(c, phi, g, i, j)[k]
+
+
+def check_pseudo_riemannian(g: MetricForm, phi: Matrix):
+    """Twist invariance <phi u, phi v> = <u, v> on all basis pairs."""
+    n = g.dim
+    lhs_m = phi.transpose() @ g.gram @ phi
+    for i in range(n):
+        for j in range(i, n):
+            if lhs_m[i, j] != g.gram[i, j]:
+                return Violation(
+                    "pseudo-riemannian",
+                    (i + 1, j + 1),
+                    (lhs_m[i, j],),
+                    (g.gram[i, j],),
+                )
+    return True
+
+
+def check_phi_selfadjoint(g: MetricForm, phi: Matrix):
+    """<phi u, v> = <u, phi v>, i.e. gram.phi = phi^T.gram."""
+    if phi @ phi != Matrix.identity(phi.nrows):
+        raise NonInvolutiveTwistError("selfadjointness test requires phi^2 = Id")
+    lhs = g.gram @ phi
+    rhs = phi.transpose() @ g.gram
+    n = g.dim
+    for i in range(n):
+        for j in range(n):
+            if lhs[i, j] != rhs[i, j]:
+                return Violation(
+                    "phi-selfadjoint", (i + 1, j + 1), (lhs[i, j],), (rhs[i, j],)
+                )
+    return True
+
+
+def check_almost_complex(j: Matrix, phi: Matrix):
+    """J^2 = -Id and J.phi = phi.J over an involutive twist."""
+    n = j.nrows
+    if n % 2 == 1:
+        raise OddDimensionError(
+            "no almost complex structure in odd dimension: det(J)^2 = (-1)^n"
+        )
+    if phi @ phi != Matrix.identity(n):
+        raise NonInvolutiveTwistError("almost complex structures need phi^2 = Id")
+    jj = j @ j
+    minus_id = -Matrix.identity(n)
+    for i in range(n):
+        for k in range(n):
+            if jj[i, k] != minus_id[i, k]:
+                return Violation(
+                    "almost-complex-square", (i + 1, k + 1), (jj[i, k],), (minus_id[i, k],)
+                )
+    lhs = phi @ j
+    rhs = j @ phi
+    for i in range(n):
+        for k in range(n):
+            if lhs[i, k] != rhs[i, k]:
+                return Violation(
+                    "almost-complex-commute", (i + 1, k + 1), (lhs[i, k],), (rhs[i, k],)
+                )
+    return True
+
+
+def check_hermitian_compatibility(j: Matrix, g: MetricForm, phi: Matrix):
+    """<(phi J)u, (phi J)v> = <u, v> on all basis pairs."""
+    ac = check_almost_complex(j, phi)
+    if not ac:
+        raise InvalidStructureError("J is not an almost complex structure", ac)
+    pr = check_pseudo_riemannian(g, phi)
+    if not pr:
+        raise InvalidStructureError("metric is not twist invariant", pr)
+    pj = phi @ j
+    pulled = pj.transpose() @ g.gram @ pj
+    n = g.dim
+    for i in range(n):
+        for k in range(i, n):
+            if pulled[i, k] != g.gram[i, k]:
+                return Violation(
+                    "hermitian", (i + 1, k + 1), (pulled[i, k],), (g.gram[i, k],)
+                )
+    return True
+
+
+def check_kahler(p: Tensor3, phi: Matrix, j: Matrix):
+    """Left multiplication by every basis vector commutes with phi o J."""
+    ac = check_almost_complex(j, phi)
+    if not ac:
+        raise InvalidStructureError("J is not an almost complex structure", ac)
+    pj = phi @ j
+    n = p.dim
+    for i in range(n):
+        left = p.left_mult_basis(i)
+        lhs = left @ pj
+        rhs = pj @ left
+        for a in range(n):
+            for b in range(n):
+                if lhs[a, b] != rhs[a, b]:
+                    return Violation(
+                        "kahler-invariance",
+                        (i + 1, a + 1, b + 1),
+                        (lhs[a, b],),
+                        (rhs[a, b],),
+                    )
+    return True
+
+
+def nijenhuis_witness(c: Tensor3, phi: Matrix, j: Matrix):
+    """The first nonzero column of the full (dense) torsion tensor, in (i, j) order."""
+    nt = nijenhuis_tensor(c, phi, j)
+    if nt.is_zero():
+        return True
+    table = nt.tensor.nonzero_table()
+    (i, j), col = sorted(table.items())[0]
+    return Violation("nijenhuis", (i, j), col, (Fraction(0),) * c.dim)

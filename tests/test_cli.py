@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +173,144 @@ class TestVerify:
         assert code == cli.EXIT_FAIL
         assert "hom-left-symmetric" in out
         assert "kahler" in out and out.count("FAIL") == 1
+
+
+class TestCheckTable:
+    # Default checks of each shipped fixture at the bindings of the README
+    # (imex, kahler4) or of its catalog helper, as listed before the table.
+    DEFAULTS = {
+        "imex": (["a=1", "b=1", "A=1"], [
+            "antisymmetry", "morphism", "hom-jacobi", "symplectic"]),
+        "kahler4": (["a=1", "b=1", "A=1"], [
+            "antisymmetry", "morphism", "hom-jacobi", "pseudo-riemannian",
+            "phi-selfadjoint", "symplectic", "almost-complex", "nijenhuis",
+            "hermitian", "kahler"]),
+        "hermitian4": (["a=1"], [
+            "antisymmetry", "morphism", "hom-jacobi", "pseudo-riemannian",
+            "phi-selfadjoint", "almost-complex", "nijenhuis", "hermitian", "kahler"]),
+        "kahler2_case1": (["a=1", "h=1", "d=-2"], [
+            "antisymmetry", "morphism", "hom-jacobi", "product-morphism",
+            "hom-left-symmetric", "lie-admissible", "pseudo-riemannian",
+            "phi-selfadjoint", "almost-complex", "nijenhuis", "hermitian", "kahler"]),
+        "kahler2_case2": (["d=2", "t=1"], [
+            "antisymmetry", "morphism", "hom-jacobi", "product-morphism",
+            "hom-left-symmetric", "lie-admissible", "pseudo-riemannian",
+            "phi-selfadjoint", "almost-complex", "nijenhuis", "hermitian", "kahler"]),
+        "twist2_hat": ([], [
+            "antisymmetry", "morphism", "hom-jacobi", "pseudo-riemannian",
+            "phi-selfadjoint"]),
+        "twist2_bar": ([], [
+            "antisymmetry", "morphism", "hom-jacobi", "pseudo-riemannian",
+            "phi-selfadjoint"]),
+        "twist2_tilde": (["B=1"], [
+            "antisymmetry", "morphism", "hom-jacobi", "pseudo-riemannian",
+            "phi-selfadjoint"]),
+    }
+
+    @staticmethod
+    def verdicts(argv, tmp_path):
+        out = tmp_path / "report.json"
+        code = run(argv + ["--json", str(out)])
+        return code, json.loads(out.read_text())
+
+    def test_readme_lists_exactly_the_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        paragraph = readme.split("Verify checks:", 1)[1].split("\n\n", 1)[0]
+        names = re.findall(r"`([a-z-]+)`", paragraph)
+        assert sorted(names) == sorted(cli.CHECKS)
+
+    @pytest.mark.parametrize("name", sorted(catalog.FIXTURE_NAMES))
+    def test_default_checks_of_every_fixture(self, name, fixture_file, tmp_path, capsys):
+        bindings, expected = self.DEFAULTS[name]
+        argv = ["verify", fixture_file(name)]
+        for binding in bindings:
+            argv += ["-p", binding]
+        _, report = self.verdicts(argv, tmp_path)
+        assert list(report["verdicts"]) == expected
+
+    def test_phi_selfadjoint_is_not_a_default_without_involutive_twist(
+        self, tmp_path, capsys
+    ):
+        doc = json.loads(catalog.fixture_text("twist2_hat"))
+        doc["phi"] = [["2", "0"], ["0", "1"]]
+        path = tmp_path / "scaled.alg"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        _, report = self.verdicts(["verify", str(path)], tmp_path)
+        assert "pseudo-riemannian" in report["verdicts"]
+        assert "phi-selfadjoint" not in report["verdicts"]
+
+    CASES = [
+        (name, field)
+        for name, (needs, _, _) in sorted(cli.CHECKS.items())
+        for field in needs
+    ]
+
+    @pytest.mark.parametrize("name, field", CASES, ids=[f"{n}-{f}" for n, f in CASES])
+    def test_dropping_a_required_field_is_an_input_error(
+        self, name, field, tmp_path, capsys
+    ):
+        fixture = "kahler2_case1" if "product" in cli.CHECKS[name][0] else "kahler4"
+        doc = json.loads(catalog.fixture_text(fixture))
+        doc.pop("J" if field == "j" else field)
+        path = tmp_path / "dropped.alg"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["verify", str(path), "--checks", name]
+        for binding in self.DEFAULTS[fixture][0]:
+            argv += ["-p", binding]
+        assert run(argv) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert f"check {name!r} needs the instance to carry {field!r}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "target, field",
+        [(t, f) for t, (needs, _) in sorted(cli.BUILD_TARGETS.items()) for f in needs],
+    )
+    def test_dropping_a_target_field_is_an_input_error(
+        self, target, field, tmp_path, capsys
+    ):
+        doc = json.loads(catalog.fixture_text("kahler4"))
+        doc.pop("J" if field == "j" else field)
+        path = tmp_path / "dropped.alg"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["build", str(path), "--target", target, "-p", "a=1", "-p", "b=1", "-p", "A=1"]
+        assert run(argv) == cli.EXIT_INPUT
+        assert f"{target!r} needs the instance to carry {field!r}" in capsys.readouterr().err
+
+    def test_bianchi_needs_a_product_or_bracket(self, tmp_path, capsys):
+        doc = json.loads(catalog.fixture_text("twist2_hat"))
+        doc.pop("bracket")
+        path = tmp_path / "bare.alg"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(path), "--checks", "bianchi"]) == cli.EXIT_INPUT
+        assert "needs a product or bracket" in capsys.readouterr().err
+
+    def test_every_name_is_validated_before_any_check_runs(
+        self, fixture_file, monkeypatch, capsys
+    ):
+        calls = []
+        needs, default, check = cli.CHECKS["jacobi"]
+        monkeypatch.setitem(
+            cli.CHECKS, "jacobi", (needs, default, lambda i: calls.append(1) or check(i))
+        )
+        code = run(
+            ["verify", fixture_file("imex"), "-p", "a=1", "-p", "b=1", "-p", "A=1",
+             "--checks", "jacobi,jacobi,nosuch"]
+        )
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT
+        assert "unknown check 'nosuch'" in captured.err
+        assert calls == [] and captured.out == ""
+
+    def test_a_repeated_name_runs_once(self, fixture_file, tmp_path, capsys):
+        code, report = self.verdicts(
+            ["verify", fixture_file("imex"), "-p", "a=1", "-p", "b=1", "-p", "A=1",
+             "--checks", "jacobi,hom-jacobi,jacobi"],
+            tmp_path,
+        )
+        assert code == cli.EXIT_FAIL
+        assert list(report["verdicts"]) == ["jacobi", "hom-jacobi"]
+        assert [ce["check"] for ce in report["counterexamples"]] == ["jacobi"]
 
 
 class TestBuild:
@@ -403,6 +543,59 @@ class TestHostileInput:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert run(["classify2", "--twist", "tilde", "--B", value]) == cli.EXIT_INPUT
+
+    def test_oversized_product_of_literals_is_an_input_error(self, variant, capsys):
+        big = "*".join(["9" * MAX_LITERAL] * 5)
+
+        def edit(doc):
+            doc["omega"][0][1] = big
+            doc["omega"][1][0] = f"-({big})"
+
+        path = variant(edit)
+        assert run(["verify", path, "--checks", "symplectic"] + self.IMEX) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"more than {2 * MAX_LITERAL} digits" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "entry, code",
+        [("-A*x*x/(x*x)", cli.EXIT_OK), ("-A*x*x*x/(x*x*x)", cli.EXIT_INPUT)],
+        ids=["square-at-the-bound", "cube"],
+    )
+    def test_values_computed_from_a_binding_are_bounded(self, variant, capsys, entry, code):
+        def edit(doc):
+            doc["params"].append("x")
+            doc["omega"][0][2] = entry
+
+        path = variant(edit)
+        argv = ["verify", path, "--checks", "symplectic", "-p", "x=" + "9" * MAX_LITERAL]
+        assert run(argv + self.IMEX) == code
+        err = capsys.readouterr().err
+        assert ("digits" in err) == (code == cli.EXIT_INPUT)
+
+    def test_unexpected_exception_exits_three(self, fixture_file, monkeypatch, capsys):
+        def boom(inst):
+            raise RuntimeError("checker bug")
+
+        monkeypatch.setitem(cli.CHECKS, "antisymmetry", (("bracket",), True, boom))
+        code = run(["verify", fixture_file("imex")] + self.IMEX)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INTERNAL
+        assert err == "internal error: RuntimeError: checker bug\n"
+
+    def test_witness_too_long_to_print_exits_three(self, variant, capsys):
+        # every entry is within the bound, but the failing witness is not
+        square = "*".join(["7" * (MAX_LITERAL - 1)] * 2)
+
+        def edit(doc):
+            doc["phi"][0][0] = doc["phi"][2][2] = f"-({square})"
+
+        path = variant(edit)
+        argv = ["verify", path, "--checks", "symplectic", "-p", "a=1", "-p", "b=1",
+                "-p", "A=" + "9" * MAX_LITERAL]
+        assert run(argv) == cli.EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.err.startswith("internal error: ValueError")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_unwritable_json_path_fails_before_checks(self, fixture_file, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "report.json"

@@ -1,13 +1,14 @@
 """Differential tests: the kernel-backed checkers against the dense reference.
 
-Every public checker that runs on the sparse integer kernel is compared
-with its dense loop in ``reference.py`` on the same input.  Both must
-return ``True``, or equal ``Violation``s down to the repr of each lhs and
-rhs entry, or raise the same error with the same message.  Inputs are
-seeded random sparse and dense rational tensors and twists at n = 2..8,
-single-constant perturbations of structures that pass, so that failures
-land at varied tuples of every identity, and the phase-space doubles of
-the imex, kahler4 and hermitian4 fixtures.
+Every public checker that runs on the sparse integer kernel, or on the
+shared first-differing-entry helper, is compared with its dense loop in
+``reference.py`` on the same input.  Both must return ``True``, or equal
+``Violation``s down to the repr of each lhs and rhs entry, or raise the
+same error with the same message.  Inputs are seeded random sparse and
+dense rational tensors and twists at n = 2..8, single-constant
+perturbations of structures that pass, so that failures land at varied
+tuples of every identity, and the phase-space doubles of the imex,
+kahler4 and hermitian4 fixtures.
 """
 
 import random
@@ -22,15 +23,24 @@ from conftest import (
     rand_fraction,
     rand_invertible,
     rand_involutive_twist,
+    symmetrized_invariant_metric,
 )
 from homlie import catalog
-from homlie.complexstruct import nijenhuis_tensor
+from homlie.complexstruct import (
+    check_almost_complex,
+    check_hermitian_compatibility,
+    check_kahler,
+    check_nijenhuis,
+    nijenhuis_tensor,
+)
 from homlie.dim2 import canonical_bracket_2d
 from homlie.errors import HomLieError
 from homlie.linalg import Matrix, Tensor3, matrix_inverse
 from homlie.metric import (
     MetricForm,
     SymplecticForm,
+    check_phi_selfadjoint,
+    check_pseudo_riemannian,
     check_symplectic,
     levi_civita_product,
     symplectic_left_symmetric,
@@ -65,6 +75,12 @@ PAIRS = {
     nijenhuis_tensor: ref.nijenhuis_tensor,
     check_phase_space_complex: ref.check_phase_space_complex,
     phase_space_product: ref.phase_space_product,
+    check_pseudo_riemannian: ref.check_pseudo_riemannian,
+    check_phi_selfadjoint: ref.check_phi_selfadjoint,
+    check_almost_complex: ref.check_almost_complex,
+    check_hermitian_compatibility: ref.check_hermitian_compatibility,
+    check_kahler: ref.check_kahler,
+    check_nijenhuis: ref.nijenhuis_witness,
 }
 
 
@@ -118,6 +134,7 @@ def compare_all(p, phi, omega=None, j=None, seen=None):
         compare_symplectic(omega, c, phi, seen)
     if j is not None:
         agree(nijenhuis_tensor, c, phi, j)
+        agree(check_nijenhuis, c, phi, j, seen=seen)
         ps = PhaseSpaceInstance(n // 2, p, phi, omega, j, None)
         agree(check_phase_space_complex, ps, seen=seen)
 
@@ -377,6 +394,81 @@ def test_perturbations_agree_and_reach_every_identity():
         agree(check_admissible, rep, seen=seen)
     kinds = {kind for kind, _ in seen}
     assert kinds >= EVERY_KIND, EVERY_KIND - kinds
+    assert len(seen) >= 30
+
+
+def perturb_metric(g, rng):
+    """One symmetric pair of Gram entries moved, or g if that degenerates it."""
+    i, k = rng.randrange(g.dim), rng.randrange(g.dim)
+    rows = [list(r) for r in g.gram.rows]
+    delta = rand_fraction(rng, -2, 2, 2, nonzero=True)
+    rows[i][k] += delta
+    if i != k:
+        rows[k][i] += delta
+    try:
+        return MetricForm(Matrix(rows))
+    except HomLieError:
+        return g
+
+
+def hermitian_metric(rng, phi, j):
+    """g + (phi J)^T g (phi J) for a random twist-invariant g, nondegenerate."""
+    pj = phi @ j
+    while True:
+        g = symmetrized_invariant_metric(rng, phi).gram
+        try:
+            return MetricForm(g + pj.transpose() @ g @ pj)
+        except HomLieError:
+            continue
+
+
+def compare_entrywise(c, phi, g, j, p, seen):
+    """The entrywise checkers and the Nijenhuis witness on one structure."""
+    agree(check_pseudo_riemannian, g, phi, seen=seen)
+    agree(check_phi_selfadjoint, g, phi, seen=seen)
+    agree(check_almost_complex, j, phi, seen=seen)
+    agree(check_hermitian_compatibility, j, g, phi, seen=seen)
+    agree(check_kahler, p, phi, j, seen=seen)
+    agree(check_nijenhuis, c, phi, j, seen=seen)
+
+
+ENTRYWISE_KINDS = {
+    "pseudo-riemannian", "phi-selfadjoint", "almost-complex-square",
+    "almost-complex-commute", "hermitian", "kahler-invariance", "nijenhuis",
+}
+
+
+def test_entrywise_checkers_agree_and_reach_every_kind():
+    rng = random.Random("kernel-entrywise")
+    seen = set()
+    structures = []
+    for inst in (catalog.kahler4(1, 1, 1), catalog.kahler4(2, 3, 1), catalog.hermitian4(2)):
+        g = MetricForm(inst.metric)
+        lc = levi_civita_product(inst.bracket, inst.phi, g).product
+        structures.append((inst.bracket, inst.phi, g, inst.j, lc))
+    for n in (2, 4, 6):
+        phi, j = commuting_complex_pair(rng, n)
+        p = rand_sparse_tensor(rng, n, 0.3)
+        structures.append((commutator_bracket(p), phi, hermitian_metric(rng, phi, j), j, p))
+    for c, phi, g, j, p in structures:
+        s = rand_invertible(rng, phi.nrows)
+        compare_entrywise(c, phi, g, j, p, seen)
+        compare_entrywise(c, phi, symmetrized_invariant_metric(rng, phi), j, p, seen)
+        compare_entrywise(c, phi, g, s @ j @ matrix_inverse(s), p, seen)
+        for _ in range(3):
+            compare_entrywise(c, phi, perturb_metric(g, rng), j, p, seen)
+            compare_entrywise(c, phi, g, perturb_matrix(j, rng), p, seen)
+            compare_entrywise(
+                commutator_bracket(perturb_tensor(c, rng)), phi, g, j,
+                perturb_tensor(p, rng), seen,
+            )
+    for n in (4, 6, 8) * 4:
+        phi, j = commuting_complex_pair(rng, n)
+        for density in (0.01, 0.03, 0.1):
+            c = commutator_bracket(rand_sparse_tensor(rng, n, density))
+            agree(check_nijenhuis, c, phi, j, seen=seen)
+    kinds = {kind for kind, _ in seen}
+    assert kinds >= ENTRYWISE_KINDS, ENTRYWISE_KINDS - kinds
     assert len(seen) >= 30
 
 
