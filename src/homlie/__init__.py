@@ -59,9 +59,7 @@ from .metric import (
 )
 from .complexstruct import (
     ComplexSplit,
-    ComplexStructureCandidate,
     IntegrabilityReport,
-    NijenhuisTensor,
     check_almost_complex,
     check_hermitian_compatibility,
     check_integrability_equivalence,
@@ -69,7 +67,6 @@ from .complexstruct import (
     check_nijenhuis,
     complexify_and_split,
     induced_symplectic,
-    nijenhuis_tensor,
 )
 from .phase_space import (
     DualRepresentation,
@@ -78,7 +75,6 @@ from .phase_space import (
     adjoint_rep,
     build_phase_space,
     check_admissible,
-    check_dual_pairing_identity,
     check_phase_space_complex,
     check_representation,
     dual_rep,

@@ -26,6 +26,7 @@ from itertools import combinations
 from math import lcm
 
 from .errors import DimensionMismatchError
+from .linalg import matrix_inverse
 
 _EMPTY: dict = {}
 
@@ -282,39 +283,35 @@ def first_symplectic_failure(omega, c, phi):
     return None
 
 
-def symplectic_product_planes(omega, c, phi, coeff_inv) -> list:
-    """Planes of the product a with
-    omega(a(e_i, e_j), phi e_k) = -omega(phi e_j, [e_i, e_k]) for all k.
+def form_product_planes(form, c, phi, terms, den=1) -> list:
+    """Planes of the product P with B(P(e_i, e_j), phi e_k) = r_ij[k] / den.
 
-    ``coeff_inv`` inverts the matrix with rows x -> omega(x, phi e_k).
-    The right side has degree 1 in omega, phi and the bracket; the
-    solution adds the denominator of ``coeff_inv``.
+    B is the bilinear form with matrix ``form``.  Each right side r_ij[k]
+    sums entries of the table T(a, b; d) = B([e_a, e_b], phi e_d): a
+    term of ``terms`` spells which of i, j, k stand in for a, b and d,
+    so that "ikj" adds T(i, k; j).  T is built from the nonzero bracket
+    columns only, and every pair is solved with one inverse of
+    (B phi)^T.  T has degree 1 in B, phi and the bracket; the solution
+    adds the denominators of the inverse and of ``den``.
     """
-    wcols, dw = columns(omega)
-    pcols, dphi = columns(phi)
-    icols, dinv = columns(coeff_inv)
+    wt = (form @ phi).transpose()
+    rows, dw = columns(wt)  # rows[m][d] = B(e_m, phi e_d)
+    icols, dinv = columns(matrix_inverse(wt))
     tab = table(c)
+    orders = [tuple(term.index(x) for x in "ijk") for term in terms]
+    rhs: dict = {}
+    for (a, b), col in tab.cols.items():
+        for d, v in _apply(rows, col).items():
+            abd = (a, b, d)
+            for oi, oj, ok in orders:
+                acc = rhs.setdefault((abd[oi], abd[oj]), {})
+                acc[abd[ok]] = acc.get(abd[ok], 0) + v
     n = tab.n
-    # phit_w[j][m] = omega(phi e_j, e_m)
-    phit_w = [
-        _clean({m: sum(s * w.get(r, 0) for r, s in pj.items())
-                for m, w in enumerate(wcols)})
-        for pj in pcols
-    ]
-    den = dinv * dw * dphi * tab.den
+    den *= dinv * dw * tab.den
     planes = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i, row in enumerate(tab.rows):
-        if not row:
-            continue
-        for j in range(n):
-            weights = phit_w[j]
-            rhs = {}
-            for k, col in row.items():
-                v = sum(s * weights.get(m, 0) for m, s in col.items())
-                if v:
-                    rhs[k] = -v
-            for k, v in _apply(icols, rhs).items():
-                planes[k][i][j] = Fraction(v, den)
+    for (i, j), acc in rhs.items():
+        for k, v in _apply(icols, acc).items():
+            planes[k][i][j] = Fraction(v, den)
     return planes
 
 

@@ -85,7 +85,21 @@ class InputError(Exception):
 # ---------------------------------------------------------------------------
 
 def _s(x) -> str:
-    return str(x)
+    """x as text, past the interpreter's int-to-text limit if need be.
+
+    Every bound value is capped and every witness side is a polynomial
+    of fixed degree in them, so the text stays bounded; the limit is
+    lifted for that one conversion only.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(x)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def _vec_json(v):

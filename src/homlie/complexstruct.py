@@ -17,7 +17,7 @@ Nothing here ever needs real closure.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 from . import _kernel
 from ._record import record
@@ -57,51 +57,14 @@ def check_almost_complex(j: Matrix, phi: Matrix):
     return _entry_witness("almost-complex-commute", phi @ j, j @ phi)
 
 
-def _require_almost_complex(j, phi, c=None, message="J is not an almost complex structure"):
+def _require_almost_complex(j, phi, c=None):
     """Raise unless J is almost complex over phi and, given a bracket c, of its
-    dimension; with ``message=None`` the error describes the violation."""
+    dimension."""
     result = check_almost_complex(j, phi)
     if not result:
-        raise InvalidStructureError(message or result.describe(), result)
+        raise InvalidStructureError("J is not an almost complex structure", result)
     if c is not None and c.dim != j.nrows:
         raise InvalidStructureError("bracket and J dimensions differ")
-
-
-@record
-class ComplexStructureCandidate:
-    """A J verified against its ambient twist: square -Id, twist-commuting."""
-
-    j: Matrix
-    twist: Matrix
-
-    def __post_init__(self):
-        _require_almost_complex(self.j, self.twist, message=None)
-
-    @property
-    def composite(self) -> Matrix:
-        """The map phi o J whose torsion decides integrability."""
-        return self.twist @ self.j
-
-
-@record
-class NijenhuisTensor:
-    """Torsion of phi o J, antisymmetric in its two arguments."""
-
-    tensor: Tensor3
-
-    def is_zero(self) -> bool:
-        return self.tensor.is_zero()
-
-
-def nijenhuis_tensor(c: Tensor3, phi: Matrix, j: Matrix) -> NijenhuisTensor:
-    """N(e_i, e_j) for all basis pairs, packed as a rank-3 tensor."""
-    _require_almost_complex(j, phi, c)
-    n = c.dim
-    planes = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for a, b, val in _kernel.nijenhuis(c, phi @ j, product(range(n), repeat=2)):
-        for k in range(n):
-            planes[k][a][b] = val[k]
-    return NijenhuisTensor(Tensor3(planes))
 
 
 def check_nijenhuis(c: Tensor3, phi: Matrix, j: Matrix):

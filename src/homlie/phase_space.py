@@ -187,38 +187,6 @@ def dual_rep(rep: Representation) -> DualRepresentation:
     )
 
 
-def check_dual_pairing_identity(p: Tensor3, phi: Matrix):
-    """Pairing identity of the dual left multiplications with the twist:
-
-    < Ltilde_{phi(e_i)} e^j , phi(e_k) > = - < e_i . e_k , phi^T(e^j) >
-
-    over all basis combinations, which reduces to the morphism property
-    and is the working identity behind the phase-space cocycle.
-    """
-    n = p.dim
-    phi_t = phi.transpose()
-    for i in range(n):
-        lt = -(p.left_mult(phi.column(i)).transpose())
-        for j in range(n):
-            lt_col = lt.column(j)
-            for k in range(n):
-                lhs = sum(
-                    (a * b for a, b in zip(lt_col, phi.column(k))), Fraction(0)
-                )
-                rhs = -sum(
-                    (
-                        a * b
-                        for a, b in zip(phi_t.column(j), p.basis_product(i, k))
-                    ),
-                    Fraction(0),
-                )
-                if lhs != rhs:
-                    return Violation(
-                        "dual-pairing", (i + 1, j + 1, k + 1), (lhs,), (rhs,)
-                    )
-    return True
-
-
 @record
 class PhaseSpaceInstance:
     """The double V + V* with product, twist, symplectic form and J.

@@ -6,12 +6,16 @@ order, both sides evaluated with dense ``Fraction`` arithmetic.  They
 are kept verbatim, and the tests require equal verdicts and equal
 ``Violation`` contents (kind, witness, lhs, rhs).  The fraction-free
 determinant is the one the library used before its eliminations were
-merged into one Gauss-Jordan sweep, and the two Koszul routines are
-independent oracles of ``levi_civita_product``.  The entrywise matrix
+merged into one Gauss-Jordan sweep.  ``levi_civita_product`` is the
+dense per-pair Koszul loop the library used before the Koszul and
+symplectic products shared one form solve, and the two Koszul routines
+after it are further independent oracles.  The entrywise matrix
 checkers are the loops the library used before they shared one
 first-differing-entry helper, and ``nijenhuis_witness`` is the way the
 command line used to turn the full torsion tensor into a witness.
-Nothing in ``src`` imports this module.
+``NijenhuisTensor`` and ``check_dual_pairing_identity`` were public
+library code that only tests used.  Nothing in ``src`` imports this
+module.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from homlie.complexstruct import NijenhuisTensor, _require_almost_complex
+from homlie._record import record
+from homlie.complexstruct import _require_almost_complex
 from homlie.errors import (
     DimensionMismatchError,
     InvalidStructureError,
@@ -38,7 +43,13 @@ from homlie.linalg import (
     vec_sub,
     zero_vec,
 )
-from homlie.metric import MetricForm, SymplecticForm, _koszul_rhs
+from homlie.metric import (
+    LeviCivitaProduct,
+    MetricForm,
+    SymplecticForm,
+    check_metric_compatibility,
+    check_torsion,
+)
 from homlie.structures import (
     Violation,
     _require_dims,
@@ -214,6 +225,16 @@ def check_admissible(rep):
     return True
 
 
+@record
+class NijenhuisTensor:
+    """Torsion of phi o J, antisymmetric in its two arguments."""
+
+    tensor: Tensor3
+
+    def is_zero(self) -> bool:
+        return self.tensor.is_zero()
+
+
 def nijenhuis_tensor(c: Tensor3, phi: Matrix, j: Matrix) -> NijenhuisTensor:
     """N(e_i, e_j) for all basis pairs, packed as a rank-3 tensor."""
     _require_almost_complex(j, phi, c)
@@ -296,6 +317,59 @@ def bareiss_determinant(a: Matrix):
             m[i][k] = Fraction(0)
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def _koszul_rhs(c: Tensor3, phi: Matrix, g: MetricForm, i: int, j: int) -> tuple:
+    """Right side of the Koszul identity for the pair (e_i, e_j), k-th entry
+
+    <[e_i,e_j], phi e_k> + <[e_k,e_j], phi e_i> + <[e_k,e_i], phi e_j>.
+    """
+    n = c.dim
+    ei = basis_vec(n, i)
+    ej = basis_vec(n, j)
+    br_ij = c.basis_product(i, j)
+    out = []
+    for k in range(n):
+        ek = basis_vec(n, k)
+        r = g.inner(br_ij, phi.apply(ek))
+        r += g.inner(c.basis_product(k, j), phi.apply(ei))
+        r += g.inner(c.basis_product(k, i), phi.apply(ej))
+        out.append(r)
+    return tuple(out)
+
+
+def levi_civita_product(c: Tensor3, phi: Matrix, g: MetricForm) -> LeviCivitaProduct:
+    """Unique product with 2<P(u,v), phi(w)> given by the twisted Koszul formula.
+
+    Solved column-wise: for fixed (i, j) the unknown P(e_i, e_j) satisfies
+    (gram.phi)^T x = rhs/2, one shared inverse for all n^2 pairs.
+    """
+    n = c.dim
+    if determinant(phi) == 0:
+        raise SingularTwistError("Koszul construction needs an invertible twist")
+    half = Fraction(1, 2)
+    coeff_inv = matrix_inverse((g.gram @ phi).transpose())
+    planes = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            rhs = tuple(half * r for r in _koszul_rhs(c, phi, g, i, j))
+            x = coeff_inv.apply(rhs)
+            for k in range(n):
+                planes[k][i][j] = x[k]
+    product = Tensor3(planes)
+    torsion = check_torsion(product, c)
+    if not torsion:
+        raise InvalidStructureError(
+            "Koszul output fails the torsion identity; input is not a "
+            "twist-invariant metric over this bracket",
+            torsion,
+        )
+    compat = check_metric_compatibility(product, g, phi)
+    if not compat:
+        raise InvalidStructureError(
+            "Koszul output fails metric compatibility", compat
+        )
+    return LeviCivitaProduct(product)
 
 
 def levi_civita_by_pair_solves(c: Tensor3, phi: Matrix, g: MetricForm) -> Tensor3:
@@ -447,3 +521,35 @@ def nijenhuis_witness(c: Tensor3, phi: Matrix, j: Matrix):
     table = nt.tensor.nonzero_table()
     (i, j), col = sorted(table.items())[0]
     return Violation("nijenhuis", (i, j), col, (Fraction(0),) * c.dim)
+
+
+def check_dual_pairing_identity(p: Tensor3, phi: Matrix):
+    """Pairing identity of the dual left multiplications with the twist:
+
+    < Ltilde_{phi(e_i)} e^j , phi(e_k) > = - < e_i . e_k , phi^T(e^j) >
+
+    over all basis combinations, which reduces to the morphism property
+    and is the working identity behind the phase-space cocycle.
+    """
+    n = p.dim
+    phi_t = phi.transpose()
+    for i in range(n):
+        lt = -(p.left_mult(phi.column(i)).transpose())
+        for j in range(n):
+            lt_col = lt.column(j)
+            for k in range(n):
+                lhs = sum(
+                    (a * b for a, b in zip(lt_col, phi.column(k))), Fraction(0)
+                )
+                rhs = -sum(
+                    (
+                        a * b
+                        for a, b in zip(phi_t.column(j), p.basis_product(i, k))
+                    ),
+                    Fraction(0),
+                )
+                if lhs != rhs:
+                    return Violation(
+                        "dual-pairing", (i + 1, j + 1, k + 1), (lhs,), (rhs,)
+                    )
+    return True

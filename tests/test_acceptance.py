@@ -15,7 +15,6 @@ from homlie.complexstruct import (
     check_kahler,
     complexify_and_split,
     induced_symplectic,
-    nijenhuis_tensor,
 )
 from homlie.dim2 import (
     BAR,
@@ -43,7 +42,6 @@ from homlie.phase_space import (
     adjoint_rep,
     build_phase_space,
     check_admissible,
-    check_dual_pairing_identity,
     check_phase_space_complex,
     check_representation,
     dual_rep,
@@ -74,7 +72,11 @@ from conftest import (
     realified_bracket,
     realify,
 )
-from reference import levi_civita_by_pair_solves
+from reference import (
+    check_dual_pairing_identity,
+    levi_civita_by_pair_solves,
+    nijenhuis_tensor,
+)
 
 BINDINGS = [(1, 1, 1), (2, 3, 1), (Fraction(-1), Fraction(1, 2), 5)]
 

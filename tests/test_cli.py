@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -582,20 +583,35 @@ class TestHostileInput:
         assert code == cli.EXIT_INTERNAL
         assert err == "internal error: RuntimeError: checker bug\n"
 
-    def test_witness_too_long_to_print_exits_three(self, variant, capsys):
-        # every entry is within the bound, but the failing witness is not
-        square = "*".join(["7" * (MAX_LITERAL - 1)] * 2)
+    def test_witness_past_the_int_text_limit_is_printed(self, variant, capsys):
+        # every entry is within the bound, but the failing witness has more
+        # digits than the interpreter turns into text by default
+        seven = int("7" * (MAX_LITERAL - 1))
+        square = "*".join([str(seven)] * 2)
 
         def edit(doc):
             doc["phi"][0][0] = doc["phi"][2][2] = f"-({square})"
 
         path = variant(edit)
+        big_a = int("9" * MAX_LITERAL)
         argv = ["verify", path, "--checks", "symplectic", "-p", "a=1", "-p", "b=1",
-                "-p", "A=" + "9" * MAX_LITERAL]
-        assert run(argv) == cli.EXIT_INTERNAL
+                "-p", f"A={big_a}"]
+        limit = sys.get_int_max_str_digits()
+        assert run(argv) == cli.EXIT_FAIL
+        assert sys.get_int_max_str_digits() == limit
+        # omega(phi e1, phi e3) = seven^4 * omega(e1, e3) against omega(e1, e3) = -A
+        sys.set_int_max_str_digits(0)
+        try:
+            lhs = str(-big_a * seven**4)
+        finally:
+            sys.set_int_max_str_digits(limit)
         captured = capsys.readouterr()
-        assert captured.err.startswith("internal error: ValueError")
-        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert len(lhs) > 4300
+        assert (
+            f"! symplectic: symplectic-invariance at (1, 3) lhs=['{lhs}'] rhs=['-{big_a}']"
+            in captured.out
+        )
+        assert captured.err == ""
 
     def test_unwritable_json_path_fails_before_checks(self, fixture_file, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "report.json"

