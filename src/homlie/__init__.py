@@ -44,7 +44,6 @@ from .structures import (
     tensor_curvature,
 )
 from .metric import (
-    LeviCivitaProduct,
     MetricForm,
     SymplecticForm,
     check_metric_compatibility,

@@ -225,7 +225,7 @@ def _need(inst: BoundInstance, name: str, fields):
 
 def _build_levi_civita(inst: BoundInstance, report: Report):
     metric = MetricForm(inst.metric)
-    product = levi_civita_product(inst.bracket, inst.phi, metric).product
+    product = levi_civita_product(inst.bracket, inst.phi, metric)
     report.derived["levi-civita"] = {"product": _tensor_json(product)}
     report.record("torsion", check_torsion(product, inst.bracket))
     report.record(
@@ -365,7 +365,7 @@ CHECKS = {
         ("bracket", "metric", "j"),
         True,
         lambda i: check_kahler(
-            levi_civita_product(i.bracket, i.phi, MetricForm(i.metric)).product, i.phi, i.j
+            levi_civita_product(i.bracket, i.phi, MetricForm(i.metric)), i.phi, i.j
         ),
     ),
     "integrability": (

@@ -183,9 +183,9 @@ def check_integrability_equivalence(
 def check_kahler(p: Tensor3, phi: Matrix, j: Matrix):
     """Left multiplication by every basis vector commutes with phi o J.
 
-    ``p`` must already be the metric product of the structure under test
-    (torsion and compatibility verified by the caller); this check then
-    decides invariance.
+    ``p`` must already be the metric product of the structure under test,
+    such as ``levi_civita_product``'s, whose torsion and compatibility hold
+    by construction; this check then decides invariance.
     """
     _require_almost_complex(j, phi)
     pj = phi @ j

@@ -35,6 +35,7 @@ from .structures import (
     Violation,
     _entry_witness,
     _require_antisymmetric,
+    _require_dims,
     commutator_bracket,
 )
 
@@ -101,42 +102,38 @@ def check_phi_selfadjoint(g: MetricForm, phi: Matrix):
     return _entry_witness("phi-selfadjoint", g.gram @ phi, phi.transpose() @ g.gram)
 
 
-@record
-class LeviCivitaProduct:
-    """Product from the twisted Koszul formula; torsion and compatibility verified."""
+def _require_metric_dims(t: Tensor3, phi: Matrix, g: MetricForm):
+    _require_dims(t, phi)
+    if g.dim != t.dim:
+        raise DimensionMismatchError(
+            f"metric of dim {g.dim} does not match tensor of dim {t.dim}"
+        )
 
-    product: Tensor3
 
-
-def levi_civita_product(c: Tensor3, phi: Matrix, g: MetricForm) -> LeviCivitaProduct:
+def levi_civita_product(c: Tensor3, phi: Matrix, g: MetricForm) -> Tensor3:
     """Unique product with 2<P(u,v), phi(w)> given by the twisted Koszul formula
 
         2<P(e_i,e_j), phi e_k> = <[e_i,e_j], phi e_k> + <[e_k,e_j], phi e_i>
                                  + <[e_k,e_i], phi e_j>,
 
     solved on the kernel with one inverse of (gram.phi)^T for all n^2 pairs.
+    Over an antisymmetric bracket, torsion and metric compatibility hold by
+    construction for any invertible twist and symmetric metric.
     """
+    _require_metric_dims(c, phi, g)
     if determinant(phi) == 0:
         raise SingularTwistError("Koszul construction needs an invertible twist")
+    _require_antisymmetric(c)
     koszul = ("ijk", "kji", "kij")
-    product = Tensor3(_kernel.form_product_planes(g.gram, c, phi, koszul, 2))
-    torsion = check_torsion(product, c)
-    if not torsion:
-        raise InvalidStructureError(
-            "Koszul output fails the torsion identity; input is not a "
-            "twist-invariant metric over this bracket",
-            torsion,
-        )
-    compat = check_metric_compatibility(product, g, phi)
-    if not compat:
-        raise InvalidStructureError(
-            "Koszul output fails metric compatibility", compat
-        )
-    return LeviCivitaProduct(product)
+    return Tensor3(_kernel.form_product_planes(g.gram, c, phi, koszul, 2))
 
 
 def check_torsion(p: Tensor3, c: Tensor3):
     """commutator of the product equals the bracket."""
+    if p.dim != c.dim:
+        raise DimensionMismatchError(
+            f"product of dim {p.dim} does not match bracket of dim {c.dim}"
+        )
     comm = commutator_bracket(p)
     n = p.dim
     for i in range(n):
@@ -150,6 +147,7 @@ def check_torsion(p: Tensor3, c: Tensor3):
 
 def check_metric_compatibility(p: Tensor3, g: MetricForm, phi: Matrix):
     """<P(u,v), phi(w)> = -<phi(v), P(u,w)> on all basis triples."""
+    _require_metric_dims(p, phi, g)
     n = p.dim
     phi_cols = [phi.column(k) for k in range(n)]
     for i in range(n):

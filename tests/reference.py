@@ -8,8 +8,10 @@ are kept verbatim, and the tests require equal verdicts and equal
 determinant is the one the library used before its eliminations were
 merged into one Gauss-Jordan sweep.  ``levi_civita_product`` is the
 dense per-pair Koszul loop the library used before the Koszul and
-symplectic products shared one form solve, and the two Koszul routines
-after it are further independent oracles.  The entrywise matrix
+symplectic products shared one form solve, with the torsion and
+metric-compatibility post-checks the library dropped once they were
+stated as theorems (``test_theorems.py``); the two Koszul routines after
+it are further independent oracles.  The entrywise matrix
 checkers are the loops the library used before they shared one
 first-differing-entry helper, and ``nijenhuis_witness`` is the way the
 command line used to turn the full torsion tensor into a witness.
@@ -44,7 +46,6 @@ from homlie.linalg import (
     zero_vec,
 )
 from homlie.metric import (
-    LeviCivitaProduct,
     MetricForm,
     SymplecticForm,
     check_metric_compatibility,
@@ -338,7 +339,7 @@ def _koszul_rhs(c: Tensor3, phi: Matrix, g: MetricForm, i: int, j: int) -> tuple
     return tuple(out)
 
 
-def levi_civita_product(c: Tensor3, phi: Matrix, g: MetricForm) -> LeviCivitaProduct:
+def levi_civita_product(c: Tensor3, phi: Matrix, g: MetricForm) -> Tensor3:
     """Unique product with 2<P(u,v), phi(w)> given by the twisted Koszul formula.
 
     Solved column-wise: for fixed (i, j) the unknown P(e_i, e_j) satisfies
@@ -369,7 +370,7 @@ def levi_civita_product(c: Tensor3, phi: Matrix, g: MetricForm) -> LeviCivitaPro
         raise InvalidStructureError(
             "Koszul output fails metric compatibility", compat
         )
-    return LeviCivitaProduct(product)
+    return product
 
 
 def levi_civita_by_pair_solves(c: Tensor3, phi: Matrix, g: MetricForm) -> Tensor3:

@@ -123,7 +123,7 @@ def test_criterion_2_kahler_4d_pipeline():
     for a, b, big_a in BINDINGS:
         inst = catalog.kahler4(a, b, big_a)
         g = MetricForm(inst.metric)
-        lc = levi_civita_product(inst.bracket, inst.phi, g).product
+        lc = levi_civita_product(inst.bracket, inst.phi, g)
         assert lc == _kahler_lc_table(a, b)
         assert check_hermitian_compatibility(inst.j, g, inst.phi) is True
         assert nijenhuis_tensor(inst.bracket, inst.phi, inst.j).is_zero()
@@ -236,7 +236,7 @@ def test_criterion_6_phase_space():
     # to be compatible with the musical metric; the metric product of the
     # same structure is the compatible one.  (The cocycle base fails the
     # claim: see TestPhaseSpaceComplexStructure.)
-    lc = levi_civita_product(inst.bracket, inst.phi, g).product
+    lc = levi_civita_product(inst.bracket, inst.phi, g)
     assert check_metric_compatibility(lc, g, inst.phi) is True
     ps_metric = build_phase_space(lc, inst.phi, g, check_base=False)
     assert check_phase_space_complex(ps_metric) is True
@@ -313,7 +313,7 @@ def test_criterion_7_koszul_oracle_equivalence():
             bracket, twist, metric = _random_pr_instance_4d(rng)
         assert check_pseudo_riemannian(metric, twist) is True
         assert check_hom_jacobi(bracket, twist) is True
-        closed = levi_civita_product(bracket, twist, metric).product
+        closed = levi_civita_product(bracket, twist, metric)
         oracle = levi_civita_by_pair_solves(bracket, twist, metric)
         assert closed == oracle
         assert check_torsion(closed, bracket) is True

@@ -212,9 +212,7 @@ class TestKahler:
     def test_kahler_fixture(self):
         for a, b, big_a in [(1, 1, 1), (2, 3, 1), (Fraction(-1), Fraction(1, 2), 5)]:
             inst = catalog.kahler4(a, b, big_a)
-            lc = levi_civita_product(
-                inst.bracket, inst.phi, MetricForm(inst.metric)
-            ).product
+            lc = levi_civita_product(inst.bracket, inst.phi, MetricForm(inst.metric))
             assert check_kahler(lc, inst.phi, inst.j) is True
 
     def test_zero_product(self):

@@ -250,8 +250,8 @@ class TestKoszulOnTwistFixtures:
         ):
             twist = TwistFamily2D(name)
             lc = levi_civita_product(c, twist.matrix(), MetricForm(metric))
-            assert commutator_bracket(lc.product) == c
+            assert commutator_bracket(lc) == c
         tilde = TwistFamily2D(TILDE, 3)
         metric = Matrix([[1, Fraction(-3, 2)], [Fraction(-3, 2), 1]])
         lc = levi_civita_product(c, tilde.matrix(), MetricForm(metric))
-        assert commutator_bracket(lc.product) == c
+        assert commutator_bracket(lc) == c

@@ -72,7 +72,6 @@ PAIRS = {
     check_hom_jacobi: ref.check_hom_jacobi,
     check_symplectic: ref.check_symplectic,
     symplectic_left_symmetric: ref.symplectic_left_symmetric,
-    levi_civita_product: ref.levi_civita_product,
     check_representation: ref.check_representation,
     check_admissible: ref.check_admissible,
     check_phase_space_complex: ref.check_phase_space_complex,
@@ -95,8 +94,6 @@ def outcome(fn, *args):
         return ("raises", type(exc).__name__, str(exc), repr(violation))
     if isinstance(result, Tensor3):
         return ("tensor", repr(result.entries))
-    if hasattr(result, "product"):
-        return ("levi-civita", repr(result.product.entries))
     return ("returns", repr(result))
 
 
@@ -271,7 +268,7 @@ def imex_double(a=1, b=1, big_a=1):
 
 def metric_double(inst):
     g = MetricForm(inst.metric)
-    lc = levi_civita_product(inst.bracket, inst.phi, g).product
+    lc = levi_civita_product(inst.bracket, inst.phi, g)
     return build_phase_space(lc, inst.phi, g, check_base=False)
 
 
@@ -448,7 +445,7 @@ def test_entrywise_checkers_agree_and_reach_every_kind():
     structures = []
     for inst in (catalog.kahler4(1, 1, 1), catalog.kahler4(2, 3, 1), catalog.hermitian4(2)):
         g = MetricForm(inst.metric)
-        lc = levi_civita_product(inst.bracket, inst.phi, g).product
+        lc = levi_civita_product(inst.bracket, inst.phi, g)
         structures.append((inst.bracket, inst.phi, g, inst.j, lc))
     for n in (2, 4, 6):
         phi, j = commuting_complex_pair(rng, n)
@@ -493,31 +490,42 @@ KOSZUL_FIXTURES = [
     catalog.kahler2_case2(3, 5),
 ]
 
-# How a Koszul call can end: a product, or one of three errors.
+# How a Koszul call can end: a product, a singular twist, or a bracket that
+# is not antisymmetric.
 KOSZUL_ENDS = {
-    "levi-civita",
+    "tensor",
     "Koszul construction needs an invertible twist",
-    "Koszul output fails the torsion identity; input is not a "
-    "twist-invariant metric over this bracket",
-    "Koszul output fails metric compatibility",
+    "bracket is not antisymmetric",
 }
 
 
 def koszul_end(c, phi, g):
-    """Assert both Koszul routines agree; return how the call ended."""
-    got = agree(levi_civita_product, c, phi, g)
+    """Compare the Koszul call with the dense reference; return how it ended.
+
+    On an antisymmetric bracket both give an equal product or the same
+    error.  Any other bracket, over an invertible twist, is rejected as a
+    bracket, with the ``Violation`` of ``check_antisymmetry``.
+    """
+    got = outcome(levi_civita_product, c, phi, g)
+    anti = check_antisymmetry(c)
+    if anti is True:
+        assert got == outcome(ref.levi_civita_product, c, phi, g)
+    else:
+        assert got == (
+            "raises", "InvalidStructureError", "bracket is not antisymmetric", repr(anti)
+        )
     return got[2] if got[0] == "raises" else got[0]
 
 
 def test_koszul_fixtures_and_perturbations_agree():
-    """A symmetric metric over an antisymmetric bracket always passes both
-    post-checks, so they are reached through brackets that are not."""
+    """Metric perturbations keep the reference's post-checks passing, and
+    bracket perturbations reach the antisymmetry error."""
     rng = random.Random("kernel-koszul")
     ends = set()
     for inst in KOSZUL_FIXTURES:
         c, phi, g = inst.bracket, inst.phi, MetricForm(inst.metric)
         n = c.dim
-        assert koszul_end(c, phi, g) == "levi-civita"
+        assert koszul_end(c, phi, g) == "tensor"
         for _ in range(2):
             ends.add(koszul_end(c, phi, perturb_metric(g, rng)))
             ends.add(koszul_end(perturb_tensor(c, rng), phi, g))
@@ -534,7 +542,7 @@ def test_koszul_on_random_invariant_metrics_agrees(seed):
     c = commutator_bracket(rand_sparse_tensor(rng, n, 0.4 if small else 0.06))
     phi = rand_involutive_twist(rng, n) if small else signed_permutation(rng, n)
     g = symmetrized_invariant_metric(rng, phi)
-    assert koszul_end(c, phi, g) == "levi-civita"
+    assert koszul_end(c, phi, g) == "tensor"
     other = rand_twist(rng, n) if small else signed_permutation(rng, n)
     assert koszul_end(c, other, perturb_metric(g, rng)) in KOSZUL_ENDS
 

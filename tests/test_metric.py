@@ -6,6 +6,7 @@ import pytest
 from homlie import catalog
 from homlie.errors import (
     DegenerateFormError,
+    DimensionMismatchError,
     InvalidStructureError,
     NonInvolutiveTwistError,
     SingularTwistError,
@@ -24,7 +25,11 @@ from homlie.metric import (
     musical_sharp,
     symplectic_left_symmetric,
 )
-from homlie.structures import check_hom_left_symmetric, commutator_bracket
+from homlie.structures import (
+    check_antisymmetry,
+    check_hom_left_symmetric,
+    commutator_bracket,
+)
 
 from conftest import rand_involutive_twist, symmetrized_invariant_metric
 from reference import koszul_residual, levi_civita_by_pair_solves
@@ -110,21 +115,17 @@ class TestLeviCivita:
     def test_kahler_fixture_table(self):
         for a, b, big_a in [(1, 1, 1), (2, 3, 1), (Fraction(-1), Fraction(1, 2), 5)]:
             inst = catalog.kahler4(a, b, big_a)
-            lc = levi_civita_product(
-                inst.bracket, inst.phi, MetricForm(inst.metric)
-            ).product
+            lc = levi_civita_product(inst.bracket, inst.phi, MetricForm(inst.metric))
             assert lc == kahler_lc_table(a, b)
 
     def test_abelian_gives_zero(self):
         g = MetricForm(Matrix.diagonal([1, -2, 3]))
         lc = levi_civita_product(Tensor3.zeros(3), Matrix.identity(3), g)
-        assert lc.product.is_zero()
+        assert lc.is_zero()
 
     def test_generic_2d_closed_form(self):
         inst = catalog.kahler2_case1(1, 1, -2)
-        lc = levi_civita_product(
-            inst.bracket, inst.phi, MetricForm(inst.metric)
-        ).product
+        lc = levi_civita_product(inst.bracket, inst.phi, MetricForm(inst.metric))
         assert lc == inst.product
         oracle = levi_civita_by_pair_solves(
             inst.bracket, inst.phi, MetricForm(inst.metric)
@@ -137,18 +138,28 @@ class TestLeviCivita:
         with pytest.raises(SingularTwistError):
             levi_civita_product(Tensor3.zeros(2), bad, g)
 
+    def test_bracket_that_is_not_antisymmetric_is_rejected_as_such(self):
+        inst = catalog.kahler4(1, 1, 1)
+        planes = [[list(row) for row in plane] for plane in inst.bracket.entries]
+        planes[1][2][2] = Fraction(1)
+        bad = Tensor3(planes)
+        with pytest.raises(InvalidStructureError, match="not antisymmetric") as err:
+            levi_civita_product(bad, inst.phi, MetricForm(inst.metric))
+        assert err.value.violation == check_antisymmetry(bad)
+        assert err.value.violation.witness == (3, 3)
+
     def test_pair_solve_oracle_agrees_on_fixture(self):
         inst = catalog.kahler4(2, 3, 1)
         g = MetricForm(inst.metric)
         assert (
-            levi_civita_product(inst.bracket, inst.phi, g).product
+            levi_civita_product(inst.bracket, inst.phi, g)
             == levi_civita_by_pair_solves(inst.bracket, inst.phi, g)
         )
 
     def test_uniqueness_one_constant_perturbation_breaks_koszul(self):
         inst = catalog.kahler4(1, 1, 1)
         g = MetricForm(inst.metric)
-        lc = levi_civita_product(inst.bracket, inst.phi, g).product
+        lc = levi_civita_product(inst.bracket, inst.phi, g)
         planes = [
             [[lc.entries[k][i][j] for j in range(4)] for i in range(4)]
             for k in range(4)
@@ -175,7 +186,7 @@ class TestTorsionAndCompatibility:
     def test_levi_civita_output_passes_both(self):
         inst = catalog.kahler4(1, 1, 1)
         g = MetricForm(inst.metric)
-        lc = levi_civita_product(inst.bracket, inst.phi, g).product
+        lc = levi_civita_product(inst.bracket, inst.phi, g)
         assert check_torsion(lc, inst.bracket) is True
         assert check_metric_compatibility(lc, g, inst.phi) is True
 
@@ -196,6 +207,27 @@ class TestTorsionAndCompatibility:
             )
             is True
         )
+
+
+KAHLER4 = catalog.kahler4(1, 1, 1)
+P4 = kahler_lc_table(1, 1)
+I2 = Matrix.identity(2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: levi_civita_product(KAHLER4.bracket, I2, MetricForm(I2)),
+        lambda: levi_civita_product(KAHLER4.bracket, KAHLER4.phi, MetricForm(I2)),
+        lambda: check_metric_compatibility(P4, MetricForm(I2), I2),
+        lambda: check_metric_compatibility(P4, MetricForm(I2), KAHLER4.phi),
+        lambda: check_torsion(P4, Tensor3.zeros(2)),
+    ],
+    ids=["koszul-twist", "koszul-metric", "compat-twist", "compat-metric", "torsion"],
+)
+def test_dimension_mismatch_is_reported_as_such(call):
+    with pytest.raises(DimensionMismatchError):
+        call()
 
 
 class TestSymplectic:

@@ -7,7 +7,12 @@ from homlie.errors import (
     NotAdmissibleError,
     NotLeftSymmetricError,
 )
-from homlie.complexstruct import check_kahler
+from homlie.complexstruct import (
+    check_hermitian_compatibility,
+    check_kahler,
+    check_nijenhuis,
+    induced_symplectic,
+)
 from homlie.linalg import Matrix, Tensor3, basis_vec, direct_sum, pairing, zero_vec
 from homlie.metric import (
     MetricForm,
@@ -313,6 +318,35 @@ class TestBuildPhaseSpace:
             )
 
 
+def lifted_double(c, phi, omega, j):
+    """Double the base (c, phi, omega, J) through its symplectic product, with
+    twist phi + phi^T, the dual complex structure J + (-J^T), the canonical
+    form and the metric omega_hat . twist . J_hat.
+
+    Returns the doubled base and every Kahler verdict on it, the last one on
+    the Koszul product of that metric over the double's commutator.
+    """
+    product = phase_space_product(
+        symplectic_left_symmetric(SymplecticForm(omega), c, phi), phi
+    )
+    bracket = commutator_bracket(product)
+    twist = direct_sum(phi, phi.transpose())
+    j_hat = direct_sum(j, -(j.transpose()))
+    omega_hat = canonical_double_omega(c.dim)
+    metric = MetricForm(omega_hat.omega @ twist @ j_hat)
+    lc = levi_civita_product(bracket, twist, metric)
+    verdicts = {
+        "hom-left-symmetric": check_hom_left_symmetric(product, twist),
+        "morphism": check_morphism(product, twist),
+        "hom-jacobi": check_hom_jacobi(bracket, twist),
+        "symplectic": check_symplectic(omega_hat, bracket, twist),
+        "nijenhuis": check_nijenhuis(bracket, twist, j_hat),
+        "hermitian": check_hermitian_compatibility(j_hat, metric, twist),
+        "kahler": check_kahler(lc, twist, j_hat),
+    }
+    return (bracket, twist, omega_hat.omega, j_hat), verdicts
+
+
 class TestPhaseSpaceComplexStructure:
     def test_abelian_base(self):
         ps = build_phase_space(Tensor3.zeros(3), Matrix.identity(3))
@@ -321,7 +355,7 @@ class TestPhaseSpaceComplexStructure:
     def test_metric_product_base_is_integrable(self):
         inst = catalog.kahler4(1, 1, 1)
         g = MetricForm(inst.metric)
-        lc = levi_civita_product(inst.bracket, inst.phi, g).product
+        lc = levi_civita_product(inst.bracket, inst.phi, g)
         ps = build_phase_space(lc, inst.phi, g, check_base=False)
         assert check_phase_space_complex(ps) is True
 
@@ -345,17 +379,21 @@ class TestPhaseSpaceComplexStructure:
         assert result.lhs == (0, 0, 1, 0, 0, 0, 0, 0)
 
     def test_lifted_double_of_kahler4_is_kahler(self):
-        # Double the Kahler base (c, phi, omega, J) through its symplectic
-        # product, with twist phi + phi^T, the dual complex structure
-        # J + (-J^T) and the metric omega_hat . twist . J_hat.  The Koszul
-        # product of that metric over the double's commutator is Kahler:
-        # both form solves meet on one structure.
+        # Iterating the lift from kahler4 gives Kahler algebras at n = 8, 16
+        # and 32: the symplectic and the Koszul form solves meet on one
+        # structure at every step.
         inst = catalog.kahler4(1, 1, 1)
-        base = symplectic_left_symmetric(SymplecticForm(inst.omega), inst.bracket, inst.phi)
-        product = phase_space_product(base, inst.phi)
-        twist = direct_sum(inst.phi, inst.phi.transpose())
-        j_hat = direct_sum(inst.j, -(inst.j.transpose()))
-        metric = MetricForm(canonical_double_omega(4).omega @ twist @ j_hat)
-        lc = levi_civita_product(commutator_bracket(product), twist, metric).product
-        assert lc.dim == 8
-        assert check_kahler(lc, twist, j_hat) is True
+        base = (inst.bracket, inst.phi, inst.omega, inst.j)
+        for n in (8, 16, 32):
+            base, verdicts = lifted_double(*base)
+            assert base[0].dim == n
+            assert all(v is True for v in verdicts.values()), (n, verdicts)
+
+    def test_lifted_double_of_hermitian4_is_not_kahler(self):
+        # The control: hermitian4's J is not integrable, and neither is its
+        # lift, whose Koszul product then fails Kahler invariance.
+        inst = catalog.hermitian4(1)
+        omega = induced_symplectic(MetricForm(inst.metric), inst.phi, inst.j)
+        _, verdicts = lifted_double(inst.bracket, inst.phi, omega.omega, inst.j)
+        failed = {name: v.witness for name, v in verdicts.items() if v is not True}
+        assert failed == {"nijenhuis": (1, 2), "kahler": (1, 1, 1)}
