@@ -283,8 +283,9 @@ def first_symplectic_failure(omega, c, phi):
     return None
 
 
-def form_product_planes(form, c, phi, terms, den=1) -> list:
-    """Planes of the product P with B(P(e_i, e_j), phi e_k) = r_ij[k] / den.
+def form_product_table(form, c, phi, terms, den=1) -> dict:
+    """The {(i, j): coefficients} table, 1-based, for ``Tensor3.from_table``,
+    of the product P with B(P(e_i, e_j), phi e_k) = r_ij[k] / den.
 
     B is the bilinear form with matrix ``form``.  Each right side r_ij[k]
     sums entries of the table T(a, b; d) = B([e_a, e_b], phi e_d): a
@@ -308,11 +309,12 @@ def form_product_planes(form, c, phi, terms, den=1) -> list:
                 acc[abd[ok]] = acc.get(abd[ok], 0) + v
     n = tab.n
     den *= dinv * dw * tab.den
-    planes = [[[0] * n for _ in range(n)] for _ in range(n)]
+    out = {}
     for (i, j), acc in rhs.items():
+        col = out[i + 1, j + 1] = [0] * n
         for k, v in _apply(icols, acc).items():
-            planes[k][i][j] = Fraction(v, den)
-    return planes
+            col[k] = Fraction(v, den)
+    return out
 
 
 def _family(mats):

@@ -279,9 +279,6 @@ class ParamExpr:
 # instance documents
 # ---------------------------------------------------------------------------
 
-MATRIX_FIELDS = ("phi", "metric", "omega", "J")
-
-
 @record
 class InstanceFile:
     """A parsed instance document, expressions left unbound."""

@@ -511,7 +511,13 @@ def _check_writable(path):
 
 
 def _emit(report: Report, args) -> int:
-    print(_render_text(report))
+    try:
+        print(_render_text(report), flush=True)
+    except BrokenPipeError:
+        # the reader has gone: keep the verdict and send the exit flush nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if getattr(args, "json", None):
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report.to_json(), fh, indent=2)

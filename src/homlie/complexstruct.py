@@ -22,6 +22,7 @@ from itertools import combinations
 from . import _kernel
 from ._record import record
 from .errors import (
+    DimensionMismatchError,
     InvalidStructureError,
     NonInvolutiveTwistError,
     OddDimensionError,
@@ -44,6 +45,8 @@ def check_almost_complex(j: Matrix, phi: Matrix):
     Odd dimension is rejected outright: det(J)^2 = det(-Id) = (-1)^n
     has no solution for odd n.
     """
+    if phi.shape != j.shape:
+        raise DimensionMismatchError(f"twist {phi.shape} does not match J {j.shape}")
     n = j.nrows
     if n % 2 == 1:
         raise OddDimensionError(
@@ -64,7 +67,7 @@ def _require_almost_complex(j, phi, c=None):
     if not result:
         raise InvalidStructureError("J is not an almost complex structure", result)
     if c is not None and c.dim != j.nrows:
-        raise InvalidStructureError("bracket and J dimensions differ")
+        raise DimensionMismatchError("bracket and J dimensions differ")
 
 
 def check_nijenhuis(c: Tensor3, phi: Matrix, j: Matrix):

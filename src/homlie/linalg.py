@@ -378,11 +378,11 @@ def in_span(vectors: Sequence[Sequence], target: Sequence) -> bool:
 class Tensor3:
     """Dense structure constants c[k][i][j] of a bilinear map.
 
-    c[k][i][j] is the e_k coefficient of (e_i, e_j) under the map, with
-    0-based indices internally; the ``from_table`` constructor and
-    ``nonzero_table`` accessor speak 1-based, matching instance files.
-    ``_lowered`` is filled on first use by the basis-tuple checkers with a
-    sparse integer table of the entries.
+    c[k][i][j] is the e_k coefficient of (e_i, e_j), 0-based.  Every tensor
+    the package derives is built by ``from_table`` from its nonzero columns,
+    1-based like ``nonzero_table`` and instance files, so only this class
+    and the kernel's lowering (into ``_lowered``, on first use by the
+    basis-tuple checkers) read the dense ``entries``.
     """
 
     __slots__ = ("entries", "dim", "_lowered")
@@ -395,8 +395,12 @@ class Tensor3:
         n = len(entries)
         if any(len(plane) != n or any(len(r) != n for r in plane) for plane in entries):
             raise DimensionMismatchError("Tensor3 must be n x n x n")
+        self._store(entries)
+
+    def _store(self, entries: tuple) -> "Tensor3":
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "dim", n)
+        object.__setattr__(self, "dim", len(entries))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor3 is immutable")
@@ -410,10 +414,9 @@ class Tensor3:
 
     @classmethod
     def from_table(cls, n: int, table: dict, antisymmetric: bool = False) -> "Tensor3":
-        """Build from a sparse {(i, j): coefficient vector} table, 1-based.
-
-        With antisymmetric=True, keys must have i < j and the (j, i)
-        entries are filled with the negated coefficients.
+        """Build from a sparse {(i, j): coefficients} table, 1-based, coercing
+        each coefficient once; with antisymmetric=True, keys must have i < j
+        and the (j, i) entries are filled with the negated coefficients.
         """
         data = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
         for (i, j), coeffs in table.items():
@@ -430,7 +433,7 @@ class Tensor3:
                 data[k][i - 1][j - 1] = cv[k]
                 if antisymmetric:
                     data[k][j - 1][i - 1] = -cv[k]
-        return cls(data)
+        return object.__new__(cls)._store(tuple(tuple(map(tuple, p)) for p in data))
 
     def basis_product(self, i: int, j: int) -> tuple:
         """Value on the (0-based) basis pair (e_i, e_j)."""
@@ -482,11 +485,9 @@ class Tensor3:
 
     def nonzero_table(self) -> dict:
         """Sparse {(i, j): coefficient tuple} view, 1-based keys."""
-        n = self.dim
         out = {}
-        for i in range(n):
-            for j in range(n):
-                col = self.basis_product(i, j)
+        for i in range(self.dim):
+            for j, col in enumerate(zip(*(plane[i] for plane in self.entries))):
                 if any(col):
                     out[(i + 1, j + 1)] = col
         return out

@@ -124,8 +124,8 @@ def levi_civita_product(c: Tensor3, phi: Matrix, g: MetricForm) -> Tensor3:
     if determinant(phi) == 0:
         raise SingularTwistError("Koszul construction needs an invertible twist")
     _require_antisymmetric(c)
-    koszul = ("ijk", "kji", "kij")
-    return Tensor3(_kernel.form_product_planes(g.gram, c, phi, koszul, 2))
+    table = _kernel.form_product_table(g.gram, c, phi, ("ijk", "kji", "kij"), 2)
+    return Tensor3.from_table(c.dim, table)
 
 
 def check_torsion(p: Tensor3, c: Tensor3):
@@ -197,6 +197,7 @@ def symplectic_left_symmetric(omega: SymplecticForm, c: Tensor3, phi: Matrix) ->
     for all k; requires an involutive twist.  The output has commutator
     equal to the bracket.
     """
+    _require_dims(c, phi)
     n = c.dim
     if phi @ phi != Matrix.identity(n):
         raise NonInvolutiveTwistError(
@@ -208,7 +209,8 @@ def symplectic_left_symmetric(omega: SymplecticForm, c: Tensor3, phi: Matrix) ->
             "form is not a symplectic two-cocycle for this bracket", cocycle
         )
     # omega(a(e_i, e_j), phi e_k) = omega([e_i, e_k], phi e_j)
-    return Tensor3(_kernel.form_product_planes(omega.omega, c, phi, ("ikj",)))
+    table = _kernel.form_product_table(omega.omega, c, phi, ("ikj",))
+    return Tensor3.from_table(n, table)
 
 
 def musical_flat(g: MetricForm, u) -> tuple:

@@ -39,6 +39,7 @@ from .metric import MetricForm, SymplecticForm, check_phi_selfadjoint
 from .structures import (
     HomLieAlgebra,
     Violation,
+    _require_dims,
     check_hom_left_symmetric,
     check_morphism,
     commutator_bracket,
@@ -157,14 +158,13 @@ def _require_left_symmetric(p: Tensor3, phi: Matrix):
         raise InvalidStructureError("twist is not a product morphism", mor)
 
 
-def left_mult_rep(p: Tensor3, phi: Matrix, check: bool = True) -> Representation:
+def left_mult_rep(p: Tensor3, phi: Matrix) -> Representation:
     """rho(e_i) = left multiplication by e_i of a left-symmetric product.
 
-    The base bracket is the commutator of the product.  With check=True
-    the left-symmetry and morphism preconditions are enforced.
+    The base bracket is the commutator of the product.  The left-symmetry
+    and morphism preconditions are enforced.
     """
-    if check:
-        _require_left_symmetric(p, phi)
+    _require_left_symmetric(p, phi)
     n = p.dim
     return Representation(
         a_map=phi,
@@ -214,19 +214,18 @@ def phase_space_product(p: Tensor3, phi: Matrix) -> Tensor3:
     Dual-only and dual-times-base products vanish, so both summands
     embed as subalgebras.
     """
+    _require_dims(p, phi)
     n = p.dim
-    n2 = 2 * n
-    planes = [[[0] * n2 for _ in range(n2)] for _ in range(n2)]
-    for k in range(n):
-        for i in range(n):
-            planes[k][i][:n] = p.entries[k][i]
+    zero = (0,) * n
+    table = {pair: col + zero for pair, col in p.nonzero_table().items()}
     # the e_m coefficient of phi(e_i).e_k is entry (k, m) of L_{phi e_i}^T
     lefts, den = _kernel.left_products(p, phi)
     for i, left in enumerate(lefts):
         for k, col in left.items():
             for m, v in col.items():
-                planes[n + k][i][n + m] = Fraction(-v, den)
-    return Tensor3(planes)
+                dual = table.setdefault((i + 1, n + m + 1), [0] * (2 * n))
+                dual[n + k] = Fraction(-v, den)
+    return Tensor3.from_table(2 * n, table)
 
 
 def canonical_double_omega(n: int) -> SymplecticForm:
@@ -264,6 +263,7 @@ def build_phase_space(
     that non-left-symmetric products (for instance metric products with
     curvature) can still be doubled for characterization runs.
     """
+    _require_dims(p, phi)
     n = p.dim
     if phi @ phi != Matrix.identity(n):
         raise NonInvolutiveTwistError("phase space needs an involutive twist")

@@ -92,17 +92,12 @@ def _require_antisymmetric(c: Tensor3):
 
 
 def commutator_bracket(p: Tensor3) -> Tensor3:
-    """c[k][i][j] = p[k][i][j] - p[k][j][i]; always antisymmetric."""
-    n = p.dim
-    return Tensor3(
-        [
-            [
-                [p.entries[k][i][j] - p.entries[k][j][i] for j in range(n)]
-                for i in range(n)
-            ]
-            for k in range(n)
-        ]
-    )
+    """c(e_i, e_j) = p(e_i, e_j) - p(e_j, e_i), over the nonzero columns only."""
+    cols, zero = p.nonzero_table(), zero_vec(p.dim)
+    pairs = {(min(i, j), max(i, j)) for i, j in cols if i != j}
+    table = {(i, j): vec_sub(cols.get((i, j), zero), cols.get((j, i), zero))
+             for i, j in pairs}
+    return Tensor3.from_table(p.dim, table, antisymmetric=True)
 
 
 def check_morphism(t: Tensor3, phi: Matrix):

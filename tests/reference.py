@@ -16,7 +16,11 @@ checkers are the loops the library used before they shared one
 first-differing-entry helper, and ``nijenhuis_witness`` is the way the
 command line used to turn the full torsion tensor into a witness.
 ``NijenhuisTensor`` and ``check_dual_pairing_identity`` were public
-library code that only tests used.  Nothing in ``src`` imports this
+library code that only tests used.  ``commutator_bracket`` and
+``phase_space_product`` are the dense plane loops the library used before
+it built derived tensors from their nonzero columns with
+``Tensor3.from_table``; the phase-space oracles here take their brackets
+from that commutator, not the library's.  Nothing in ``src`` imports this
 module.
 """
 
@@ -54,7 +58,6 @@ from homlie.metric import (
 from homlie.structures import (
     Violation,
     _require_dims,
-    commutator_bracket,
     hom_jacobi_defect,
     twisted_associator,
 )
@@ -253,6 +256,20 @@ def nijenhuis_tensor(c: Tensor3, phi: Matrix, j: Matrix) -> NijenhuisTensor:
             for k in range(n):
                 planes[k][a][b] = val[k]
     return NijenhuisTensor(Tensor3(planes))
+
+
+def commutator_bracket(p: Tensor3) -> Tensor3:
+    """c[k][i][j] = p[k][i][j] - p[k][j][i]; always antisymmetric."""
+    n = p.dim
+    return Tensor3(
+        [
+            [
+                [p.entries[k][i][j] - p.entries[k][j][i] for j in range(n)]
+                for i in range(n)
+            ]
+            for k in range(n)
+        ]
+    )
 
 
 def phase_space_product(p: Tensor3, phi: Matrix) -> Tensor3:

@@ -640,3 +640,36 @@ def test_module_entry_point(fixture_file):
     )
     assert proc.returncode == 0
     assert "hom-jacobi" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["classify2", "--proper"], cli.EXIT_OK),
+        (["verify", "imex", "-p", "a=1", "-p", "b=1", "-p", "A=1", "--checks", "jacobi"],
+         cli.EXIT_FAIL),
+    ],
+    ids=["classify2-proper", "verify-failing"],
+)
+def test_closed_stdout_pipe_keeps_the_verdict(args, code, fixture_file, tmp_path, capsys):
+    # The reader's end of the pipe is closed before the child starts, so every
+    # write to stdout fails; the exit code, the --json report and an empty
+    # stderr must be those of a run whose output was read.
+    import os
+    import subprocess
+
+    args = [fixture_file(a) if a == "imex" else a for a in args]
+    expected = tmp_path / "expected.json"
+    assert run(args + ["--json", str(expected)]) == code
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "homlie", *args, "--json", str(report)],
+        stdout=write_end, stderr=subprocess.PIPE,
+    )
+    os.close(write_end)
+    _, err = proc.communicate()
+    assert (proc.returncode, err) == (code, b"")
+    assert report.read_text() == expected.read_text()

@@ -2,15 +2,18 @@ import pytest
 
 from homlie import catalog
 from homlie.errors import (
+    DimensionMismatchError,
     InvalidStructureError,
     NonInvolutiveTwistError,
     NotAdmissibleError,
     NotLeftSymmetricError,
 )
 from homlie.complexstruct import (
+    check_almost_complex,
     check_hermitian_compatibility,
     check_kahler,
     check_nijenhuis,
+    complexify_and_split,
     induced_symplectic,
 )
 from homlie.linalg import Matrix, Tensor3, basis_vec, direct_sum, pairing, zero_vec
@@ -397,3 +400,32 @@ class TestPhaseSpaceComplexStructure:
         _, verdicts = lifted_double(inst.bracket, inst.phi, omega.omega, inst.j)
         failed = {name: v.witness for name, v in verdicts.items() if v is not True}
         assert failed == {"nijenhuis": (1, 2), "kahler": (1, 1, 1)}
+
+
+KAHLER4 = catalog.kahler4(1, 1, 1)
+IMEX = catalog.imex(1, 1, 1)
+J2 = Matrix([[0, -1], [1, 0]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: phase_space_product(IMEX.bracket, Matrix.identity(2)),
+        lambda: phase_space_product(IMEX.bracket, Matrix.identity(6)),
+        lambda: build_phase_space(IMEX.bracket, Matrix.identity(2)),
+        lambda: symplectic_left_symmetric(
+            SymplecticForm(IMEX.omega), IMEX.bracket, Matrix.identity(2)
+        ),
+        lambda: check_almost_complex(J2, KAHLER4.phi),
+        lambda: complexify_and_split(KAHLER4.bracket, KAHLER4.phi, J2),
+        lambda: induced_symplectic(MetricForm(KAHLER4.metric), KAHLER4.phi, J2),
+        lambda: check_nijenhuis(KAHLER4.bracket, Matrix.identity(2), J2),
+    ],
+    ids=[
+        "double-twist2", "double-twist6", "build-twist2", "left-symmetric-twist2",
+        "almost-complex", "complexify", "induced-symplectic", "nijenhuis-bracket",
+    ],
+)
+def test_dimension_mismatch_is_reported_as_such(call):
+    with pytest.raises(DimensionMismatchError):
+        call()
